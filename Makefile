@@ -13,7 +13,9 @@
 # asserted byte-identical to the offline detector) and cluster-smoke (a
 # race-built in-process cluster — tmirouter over migratable tmid nodes —
 # with one node killed and one added mid-run under a 16-client fleet:
-# zero lost sessions, advice byte-identical to the offline replay).
+# zero lost sessions, advice byte-identical to the offline replay) and
+# fuzz (a short run of the migration-stream fuzzer: hostile import input
+# must be an error, never a panic or a corrupt restored session).
 # `make bench` persists one BENCH_<date>[.N].json
 # perf point per invocation so the trajectory across PRs stays
 # comparable; `make microbench` folds access-path microbenchmark stats
@@ -21,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-harness bench microbench benchgate backends serve-smoke cluster-smoke allocgate vet vet-src lint tmilint mc suggest fmt ci check
+.PHONY: all build test race race-harness bench microbench benchgate backends serve-smoke cluster-smoke allocgate fuzz vet vet-src lint tmilint mc suggest fmt ci check
 
 all: check
 
@@ -123,6 +125,15 @@ cluster-smoke:
 allocgate:
 	$(GO) test -run 'SteadyStateDoesNotAllocate' -count 1 ./internal/toolio ./internal/service
 
+# fuzz mutates migration streams (hello, checkpoint line, open-window
+# frames) into the /v1/import parser and restores every accepted one: an
+# error is fine, a panic or a checkpoint that does not cover its open
+# window fails. The seeds include a ~1 MiB frame of MaxWireBatch samples;
+# capping minimization keeps the time budget on fuzzing rather than on
+# shrinking one large input.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzReadMigrationStream -fuzztime 10s -fuzzminimizetime 10x ./internal/service
+
 vet:
 	$(GO) vet ./...
 
@@ -177,4 +188,4 @@ lint: fmt vet
 
 ci: build test vet vet-src lint
 
-check: ci race-harness allocgate mc suggest benchgate backends serve-smoke cluster-smoke
+check: ci race-harness allocgate fuzz mc suggest benchgate backends serve-smoke cluster-smoke

@@ -2,16 +2,17 @@
 // routing proxy (Router) that spreads tenants over N tmid nodes, tracks
 // node membership through their /healthz probes, and live-migrates tenant
 // sessions between nodes when the ring changes — shipping each session's
-// captured trace.SampleLog through the nodes' /v1/migrate endpoint so the
-// destination rebuilds byte-identical detector state (DESIGN §17).
+// checkpoint (cumulative counters plus its open window) through the nodes'
+// /v1/migrate endpoint so the destination rebuilds byte-identical detector
+// window state (DESIGN §17).
 //
 // The correctness story is the same parity-by-construction argument the
 // single-node service makes: the router never interprets or re-renders
-// advice, it relays the owning node's bytes; and a migration replays the
-// exact sample/window stream the source accepted, through the exact
-// session code path, so a rebalanced tenant's advice stream is
-// byte-identical to one that never moved (asserted end-to-end by
-// tmiload -cluster and the cluster-smoke CI lane).
+// advice, it relays the owning node's bytes; and a migration feeds the
+// exact open window the source accepted through the exact session code
+// path (closed windows never reach advice), so a rebalanced tenant's
+// advice stream is byte-identical to one that never moved (asserted
+// end-to-end by tmiload -cluster and the cluster-smoke CI lane).
 package cluster
 
 import (

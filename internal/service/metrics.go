@@ -63,7 +63,8 @@ func newMetrics(now func() time.Time) *Metrics {
 }
 
 // observeAdvice folds one advice reply into the classification counters and
-// the latency histogram.
+// the latency histogram. The shard samples its clock when it picks the tick
+// up, before advise runs, so latency is the tick's queue wait only.
 func (m *Metrics) observeAdvice(adv toolio.WireAdvice, latency time.Duration) {
 	m.advicePages.Add(uint64(len(adv.Pages)))
 	for _, l := range adv.Lines {
@@ -177,7 +178,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	m.mu.Unlock()
 	gauge("tmid_ingest_records_per_sec", "Ingest rate over the interval since the previous scrape.", rate)
 
-	fmt.Fprintf(w, "# HELP tmid_advice_latency_seconds Tick-to-advice latency (enqueue to reply).\n# TYPE tmid_advice_latency_seconds histogram\n")
+	fmt.Fprintf(w, "# HELP tmid_advice_latency_seconds Tick queue wait: enqueue to shard pickup, sampled before analysis (excludes analyze and reply).\n# TYPE tmid_advice_latency_seconds histogram\n")
 	cum := uint64(0)
 	for i, b := range h.bounds {
 		cum += hCounts[i]

@@ -9,24 +9,26 @@ import (
 	"net/url"
 
 	"repro/internal/detect"
-	"repro/internal/sim/trace"
 	"repro/internal/toolio"
 )
 
 // This file is the session-migration surface of a Migratable tmid node —
 // the mechanism the cluster routing tier (internal/cluster) rebalances
-// shards with. A session's migratable state is exactly its captured
-// trace.SampleLog: the destination rebuilds the detector by replaying the
-// log through the same session code path every shard and the offline
-// Replay use, so a migrated tenant's subsequent advice is byte-identical
-// to an uninterrupted run. The wire format reuses the PR 8 binary columnar
-// codec: an NDJSON hello line (tenant, page size) followed by samples and
-// tick frames — a tick frame per closed window, trailing samples forming
-// the open window.
+// shards with. A window's advice depends only on that window's samples and
+// tick (TestAdviceIndependentOfPrefix), so a session's migratable state is
+// a checkpoint, not its history: the cumulative record and closed-window
+// counters plus the open window's samples. The destination restores the
+// counters and feeds the open window through the same session code path
+// every shard and the offline Replay use, so a migrated tenant's
+// subsequent advice is byte-identical to an uninterrupted run, and a
+// migration costs one window whatever the session's age. The wire format
+// reuses the binary columnar codec: an NDJSON hello line (tenant, page
+// size), one NDJSON checkpoint line, then sample frames for the open
+// window. A tick frame in a migration stream is an error.
 //
 // Endpoints:
 //
-//	GET  /v1/export?tenant=T   stream the tenant's log (hello + frames)
+//	GET  /v1/export?tenant=T   stream the tenant's checkpoint
 //	POST /v1/import            rebuild and install a session from a stream
 //	POST /v1/migrate           {"tenant","target"}: export here, push to
 //	                           target's /v1/import, cut this copy over
@@ -35,10 +37,11 @@ import (
 // atomicity: export snapshots on the owning shard goroutine (never tears
 // against ingest), import installs the fully rebuilt session in one shard
 // job (a racing eviction or ingest sees no session or a whole one, never a
-// half-replayed one), and the source deletes its copy only after the
+// half-restored one), and the source deletes its copy only after the
 // destination acks.
 
-// migrateAck is the import/migrate response body.
+// migrateAck is the import/migrate response body. Records and Windows are
+// the session's cumulative counts, not what the stream carried.
 type migrateAck struct {
 	Migrated bool   `json:"migrated"`
 	Tenant   string `json:"tenant,omitempty"`
@@ -52,128 +55,140 @@ type migrateRequest struct {
 	Target string `json:"target"`
 }
 
-// writeMigrationStream serializes one captured sample log: the NDJSON
-// hello, then binary columnar frames. Windows become (samples*, tick)
-// runs; samples past the last window boundary trail as the open window.
-func writeMigrationStream(w io.Writer, tenant string, log *trace.SampleLog) error {
+// checkpointKind tags the migration stream's checkpoint line.
+const checkpointKind = "checkpoint"
+
+// migrateCheckpoint is the checkpoint line as decoded: pointer fields so a
+// missing counter is told apart from a zero one.
+type migrateCheckpoint struct {
+	K       string `json:"k"`
+	Records *int64 `json:"records"`
+	Windows *int64 `json:"windows"`
+}
+
+// snapshot is one session's migratable state.
+type snapshot struct {
+	pageSize int
+	// records counts every sample the session ingested, the open window's
+	// included; windows counts the windows it closed.
+	records uint64
+	windows int
+	open    []detect.Sample
+}
+
+// writeMigrationStream serializes one snapshot: the NDJSON hello, the
+// checkpoint line, then the open window as binary columnar frames.
+func writeMigrationStream(w io.Writer, tenant string, snap snapshot) error {
 	hello := toolio.WireHello{
 		K: toolio.WireHelloKind, Version: toolio.SchemaVersion,
-		Tenant: tenant, PageSize: log.PageSize, Wire: toolio.WireFormatBinary,
+		Tenant: tenant, PageSize: snap.pageSize, Wire: toolio.WireFormatBinary,
 	}
 	if _, err := w.Write(toolio.EncodeWire(hello)); err != nil {
 		return err
 	}
+	if _, err := fmt.Fprintf(w, "{\"k\":%q,\"records\":%d,\"windows\":%d}\n", checkpointKind, snap.records, snap.windows); err != nil {
+		return err
+	}
 	bw := toolio.NewBinWriter(w)
 	var cols toolio.SampleColumns
-	writeSamples := func(samples []detect.Sample) error {
-		for lo := 0; lo < len(samples); lo += toolio.MaxWireBatch {
-			hi := min(lo+toolio.MaxWireBatch, len(samples))
-			cols.Grow(hi - lo)
-			for i, sm := range samples[lo:hi] {
-				cols.TID[i] = uint32(sm.TID)
-				cols.Addr[i] = sm.Addr
-				cols.Width[i] = uint16(sm.Width)
-				wr := uint8(0)
-				if sm.Write {
-					wr = 1
-				}
-				cols.Write[i] = wr
-			}
-			if err := bw.WriteSamples(&cols); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	lo := 0
-	for i, win := range log.Windows {
-		if err := writeSamples(log.Samples[lo:win.End]); err != nil {
+	for lo := 0; lo < len(snap.open); lo += toolio.MaxWireBatch {
+		packColumns(&cols, snap.open[lo:min(lo+toolio.MaxWireBatch, len(snap.open))])
+		if err := bw.WriteSamples(&cols); err != nil {
 			return err
 		}
-		if err := bw.WriteTick(toolio.WireTick{K: toolio.WireTickKind, Seq: i, IntervalSec: win.IntervalSec, Period: win.Period}); err != nil {
-			return err
-		}
-		lo = win.End
 	}
-	return writeSamples(log.Samples[lo:])
+	return nil
 }
 
-// readMigrationStream parses a migration stream back into a sample log.
-// maxRecords caps the total (a runaway stream gets an error, not a node
-// OOM); frame-level validation (column ranges, batch caps) is the binary
-// codec's.
-func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant string, log *trace.SampleLog, err error) {
+// readMigrationStream parses a migration stream back into a snapshot.
+// maxRecords caps the open window (a runaway stream gets an error, not a
+// node OOM); frame-level validation (column ranges, batch caps) is the
+// binary codec's. The checkpoint must carry both counters, non-negative,
+// and records must cover the open window: the restored session subtracts
+// the one from the other.
+func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant string, snap snapshot, err error) {
 	line, err := readWireLine(br, nil, maxFrame)
 	if err != nil {
-		return "", nil, fmt.Errorf("migration stream: missing hello")
+		return "", snapshot{}, fmt.Errorf("migration stream: missing hello")
 	}
 	hello, err := toolio.DecodeWireMsg(line)
 	if err != nil {
-		return "", nil, err
+		return "", snapshot{}, err
 	}
 	if err := toolio.CheckHello(hello); err != nil {
-		return "", nil, err
+		return "", snapshot{}, err
 	}
-	pageSize := hello.PageSize
-	if pageSize == 0 {
-		pageSize = 4096
+	line, err = readWireLine(br, nil, maxFrame)
+	if err != nil {
+		return "", snapshot{}, fmt.Errorf("migration stream: missing checkpoint")
 	}
-	log = &trace.SampleLog{PageSize: pageSize}
+	var cp migrateCheckpoint
+	if err := json.Unmarshal(line, &cp); err != nil {
+		return "", snapshot{}, fmt.Errorf("migration stream: bad checkpoint: %w", err)
+	}
+	switch {
+	case cp.K != checkpointKind:
+		return "", snapshot{}, fmt.Errorf("migration stream: second line must be a checkpoint")
+	case cp.Records == nil || cp.Windows == nil:
+		return "", snapshot{}, fmt.Errorf("migration stream: checkpoint needs records and windows")
+	case *cp.Records < 0 || *cp.Windows < 0:
+		return "", snapshot{}, fmt.Errorf("migration stream: checkpoint counters must be non-negative")
+	}
+	snap = snapshot{pageSize: hello.PageSize, records: uint64(*cp.Records), windows: int(*cp.Windows)}
+	if snap.pageSize == 0 {
+		snap.pageSize = 4096
+	}
 	rd := toolio.NewBinReader(br)
 	rd.MaxPayload = maxFrame
 	for {
 		fr, err := rd.ReadFrame()
 		if err == io.EOF {
-			return hello.Tenant, log, nil
+			break
 		}
 		if err != nil {
-			return "", nil, err
+			return "", snapshot{}, err
 		}
-		switch fr.Kind {
-		case toolio.WireSamplesKind[0]:
-			if len(log.Samples)+fr.Samples.Len() > maxRecords {
-				return "", nil, fmt.Errorf("migration stream exceeds %d records", maxRecords)
-			}
-			for i := 0; i < fr.Samples.Len(); i++ {
-				log.TapSample(detect.Sample{
-					TID:   int(fr.Samples.TID[i]),
-					Addr:  fr.Samples.Addr[i],
-					Width: int(fr.Samples.Width[i]),
-					Write: fr.Samples.Write[i] != 0,
-				})
-			}
-		case toolio.WireTickKind[0]:
-			if fr.Tick.IntervalSec <= 0 || fr.Tick.Period < 1 {
-				return "", nil, fmt.Errorf("migration stream window %d: interval and period must be positive", len(log.Windows))
-			}
-			log.TapWindow(fr.Tick.IntervalSec, fr.Tick.Period)
+		if fr.Kind != toolio.WireSamplesKind[0] {
+			return "", snapshot{}, fmt.Errorf("migration stream: only the open window's sample frames may follow the checkpoint")
+		}
+		if len(snap.open)+fr.Samples.Len() > maxRecords {
+			return "", snapshot{}, fmt.Errorf("migration stream exceeds %d open-window records", maxRecords)
+		}
+		for i := 0; i < fr.Samples.Len(); i++ {
+			snap.open = append(snap.open, detect.Sample{
+				TID:   int(fr.Samples.TID[i]),
+				Addr:  fr.Samples.Addr[i],
+				Width: int(fr.Samples.Width[i]),
+				Write: fr.Samples.Write[i] != 0,
+			})
 		}
 	}
+	if snap.records < uint64(len(snap.open)) {
+		return "", snapshot{}, fmt.Errorf("migration stream: checkpoint records %d do not cover the %d open-window samples", snap.records, len(snap.open))
+	}
+	return hello.Tenant, snap, nil
 }
 
-// rebuildSession replays a migrated log through a fresh session — the same
-// feed/advise path a shard runs — leaving the detector, the seen/ticks
-// bookkeeping and the open window in exactly the source's state. The log
-// is attached for capture only after the replay, so replaying does not
-// double-append into it.
-func rebuildSession(tenant string, log *trace.SampleLog, dcfg detect.Config, periods detect.PeriodController) (*session, error) {
-	s, err := newSession(tenant, log.PageSize, dcfg)
+// rebuildSession restores a snapshot into a fresh session: the counters
+// land where the source's last tick left them, then the open window is fed
+// through the same path a shard runs, leaving the detector's window state
+// exactly the source's. The open window is attached for capture only after
+// the feed, so feeding does not double-append into it.
+func rebuildSession(tenant string, snap snapshot, dcfg detect.Config) (*session, error) {
+	s, err := newSession(tenant, snap.pageSize, dcfg)
 	if err != nil {
 		return nil, err
 	}
-	lo := 0
-	for i, win := range log.Windows {
-		s.feed(log.Samples[lo:win.End])
-		// The rebuilt advice is discarded: the source already delivered it.
-		s.advise(toolio.WireTick{K: toolio.WireTickKind, Seq: i, IntervalSec: win.IntervalSec, Period: win.Period}, periods, "")
-		lo = win.End
-	}
-	s.feed(log.Samples[lo:])
-	s.log = log
+	closed := snap.records - uint64(len(snap.open))
+	s.det.TotalRecords = closed
+	s.seen = closed
+	s.ticks = snap.windows
+	s.feed(snap.open)
+	s.capture, s.open = true, snap.open
 	return s, nil
 }
 
-// exportState fetches the tenant's snapshot through the owning shard.
+// exportSnapshot fetches the tenant's snapshot through the owning shard.
 func (s *Server) exportSnapshot(tenant string) (exportState, bool) {
 	ch := make(chan exportState, 1)
 	if !s.enqueue(s.shardFor(tenant), job{tenant: tenant, export: ch}) {
@@ -203,11 +218,11 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	writeMigrationStream(w, tenant, st.log)
+	writeMigrationStream(w, tenant, st.snap)
 }
 
 // handleImport rebuilds a session from a migration stream and installs it,
-// acking with the record/window counts the destination actually replayed.
+// acking with the session's cumulative record/window counts.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.Migratable {
 		http.Error(w, "tmid: node is not migratable (capture off)", http.StatusConflict)
@@ -218,13 +233,13 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	br := bufio.NewReaderSize(r.Body, 256<<10)
-	tenant, log, err := readMigrationStream(br, s.cfg.MaxFrameBytes, s.cfg.MaxMigrateRecords)
+	tenant, snap, err := readMigrationStream(br, s.cfg.MaxFrameBytes, s.cfg.MaxMigrateRecords)
 	if err != nil {
 		s.metrics.migrateFailed.Add(1)
 		http.Error(w, "tmid: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	sess, err := rebuildSession(tenant, log, s.cfg.Detect, s.cfg.Periods)
+	sess, err := rebuildSession(tenant, snap, s.cfg.Detect)
 	if err != nil {
 		s.metrics.migrateFailed.Add(1)
 		http.Error(w, "tmid: "+err.Error(), http.StatusBadRequest)
@@ -238,7 +253,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	}
 	<-installed
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(migrateAck{Migrated: true, Tenant: tenant, Records: log.Len(), Windows: len(log.Windows)})
+	json.NewEncoder(w).Encode(migrateAck{Migrated: true, Tenant: tenant, Records: int(snap.records), Windows: snap.windows})
 }
 
 // handleMigrate pushes one tenant's session to a peer node: export here,
@@ -285,7 +300,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ack, err := s.pushImport(req.Target, req.Tenant, st.log)
+	ack, err := s.pushImport(req.Target, req.Tenant, st.snap)
 	if err != nil {
 		s.metrics.migrateFailed.Add(1)
 		http.Error(w, "tmid: migrate push: "+err.Error(), http.StatusBadGateway)
@@ -302,11 +317,11 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 }
 
 // pushImport streams a snapshot to target's /v1/import and returns its ack.
-func (s *Server) pushImport(target, tenant string, log *trace.SampleLog) (migrateAck, error) {
+func (s *Server) pushImport(target, tenant string, snap snapshot) (migrateAck, error) {
 	pr, pw := io.Pipe()
 	go func() {
 		bw := bufio.NewWriterSize(pw, 256<<10)
-		err := writeMigrationStream(bw, tenant, log)
+		err := writeMigrationStream(bw, tenant, snap)
 		if err == nil {
 			err = bw.Flush()
 		}
@@ -331,9 +346,9 @@ func (s *Server) pushImport(target, tenant string, log *trace.SampleLog) (migrat
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		return migrateAck{}, fmt.Errorf("bad import ack: %w", err)
 	}
-	if ack.Records != log.Len() || ack.Windows != len(log.Windows) {
-		return migrateAck{}, fmt.Errorf("import ack counts diverged: target replayed %d records / %d windows, source shipped %d / %d",
-			ack.Records, ack.Windows, log.Len(), len(log.Windows))
+	if ack.Records != int(snap.records) || ack.Windows != snap.windows {
+		return migrateAck{}, fmt.Errorf("import ack counts diverged: target restored %d records / %d windows, source checkpointed %d / %d",
+			ack.Records, ack.Windows, snap.records, snap.windows)
 	}
 	return ack, nil
 }

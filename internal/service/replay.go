@@ -64,6 +64,22 @@ func ReplayWithPolicy(log *trace.SampleLog, pageSize int, dcfg detect.Config, pe
 	return out.Bytes(), nil
 }
 
+// packColumns copies samples into cols for a binary samples frame, reusing
+// the columns' capacity.
+func packColumns(cols *toolio.SampleColumns, samples []detect.Sample) {
+	cols.Grow(len(samples))
+	for i, sm := range samples {
+		cols.TID[i] = uint32(sm.TID)
+		cols.Addr[i] = sm.Addr
+		cols.Width[i] = uint16(sm.Width)
+		w := uint8(0)
+		if sm.Write {
+			w = 1
+		}
+		cols.Write[i] = w
+	}
+}
+
 // DefaultBatchRecords is the sample-batch size the client packs per wire
 // line.
 const DefaultBatchRecords = 512
@@ -157,17 +173,7 @@ func (c *Client) Replay(log *trace.SampleLog, repeat int) (*ReplayResult, error)
 						hi = len(samples)
 					}
 					if binMode {
-						cols.Grow(hi - lo)
-						for i, sm := range samples[lo:hi] {
-							cols.TID[i] = uint32(sm.TID)
-							cols.Addr[i] = sm.Addr
-							cols.Width[i] = uint16(sm.Width)
-							w := uint8(0)
-							if sm.Write {
-								w = 1
-							}
-							cols.Write[i] = w
-						}
+						packColumns(&cols, samples[lo:hi])
 						if err := enc.WriteSamples(&cols); err != nil {
 							ferr = err
 							return

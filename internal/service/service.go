@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/sim/intern"
-	"repro/internal/sim/trace"
 	"repro/internal/toolio"
 )
 
@@ -79,20 +78,21 @@ type Config struct {
 	// detect.RecommendBackend. The recommendation is additive: it never
 	// changes any other advice field.
 	RecommendBackend string
-	// Migratable turns on per-session sample capture: every session keeps
-	// its accepted sample stream as a trace.SampleLog so it can be exported
-	// through /v1/export and moved to another node by /v1/migrate, where the
-	// destination rebuilds byte-identical detector state by replaying the
-	// log through the same advise path (the cluster tier's live-rebalancing
-	// substrate, DESIGN §17). Capture costs memory proportional to the
-	// session's record volume; the session TTL bounds its lifetime.
+	// Migratable turns on per-session capture of the open window: every
+	// session keeps the samples it accepted since its last tick, so it can
+	// be exported through /v1/export and moved to another node by
+	// /v1/migrate as a checkpoint (cumulative counters plus the open
+	// window). The destination restores byte-identical window state through
+	// the same feed/advise path (the cluster tier's live-rebalancing
+	// substrate, DESIGN §17). Capture costs one window of samples per
+	// session, whatever the session's age.
 	Migratable bool
 	// NodeID names this node in /healthz membership metadata (the cluster
 	// router's health probe doubles as discovery). Empty means "tmid".
 	NodeID string
-	// MaxMigrateRecords caps the records one /v1/import accepts (default
-	// 1<<22): an import is a trusted intra-cluster transfer, but the cap
-	// keeps a misrouted or runaway stream from ballooning a node.
+	// MaxMigrateRecords caps the open-window records one /v1/import accepts
+	// (default 1<<22): an import is a trusted intra-cluster transfer, but
+	// the cap keeps a misrouted or runaway stream from ballooning a node.
 	MaxMigrateRecords int
 	// MigrateTimeout bounds one outbound /v1/migrate push (default 30s).
 	MigrateTimeout time.Duration
@@ -232,11 +232,13 @@ type session struct {
 	lastSeen time.Time
 	seen     uint64 // detector records at the last tick
 	ticks    int
-	// log captures the accepted sample stream and its window boundaries
-	// when the server is Migratable: replaying it through a fresh session
-	// reproduces this session's detector state exactly, which is what
-	// /v1/export ships and /v1/import rebuilds. nil when capture is off.
-	log *trace.SampleLog
+	// open captures the samples accepted since the last tick when capture
+	// is on (the server is Migratable). With the seen/ticks counters it is
+	// the session's whole migratable state: a window's advice depends on
+	// that window alone, so feeding open to a fresh session restores this
+	// one's detector window exactly. advise truncates it, keeping capacity.
+	capture bool
+	open    []detect.Sample
 }
 
 // newSession builds the per-tenant detector exactly the way the offline
@@ -266,9 +268,9 @@ func (s *session) feed(samples []detect.Sample) {
 		s.tab.Intern(sm.Addr)
 		s.det.Ingest(sm)
 	}
-	if s.log != nil {
+	if s.capture {
 		// Capture copies the batch: the caller's buffer is recycled.
-		s.log.Samples = append(s.log.Samples, samples...)
+		s.open = append(s.open, samples...)
 	}
 }
 
@@ -282,12 +284,9 @@ func (s *session) feed(samples []detect.Sample) {
 // the finished advice, so a recommending service and a silent one agree on
 // every other byte.
 func (s *session) advise(tick toolio.WireTick, periods detect.PeriodController, policy string) toolio.WireAdvice {
-	if s.log != nil {
-		// The window boundary is part of the migratable state: a replaying
-		// destination must close its windows at exactly these points for its
-		// detector to land in the same state.
-		s.log.TapWindow(tick.IntervalSec, tick.Period)
-	}
+	// The tick closes the open window: its samples stop being migratable
+	// state.
+	s.open = s.open[:0]
 	req := s.det.Analyze(tick.IntervalSec, tick.Period)
 	window := s.det.TotalRecords - s.seen
 	s.seen = s.det.TotalRecords

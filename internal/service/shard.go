@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/detect"
-	"repro/internal/sim/trace"
 	"repro/internal/toolio"
 )
 
@@ -27,9 +26,8 @@ type job struct {
 	// tests); the reply lands on info.
 	inspect bool
 	info    chan SessionInfo
-	// export asks for a migration snapshot of the tenant's captured sample
-	// log; the reply (a deep copy, safe to stream after the job returns)
-	// lands on export.
+	// export asks for a migration snapshot of the tenant's session; the
+	// reply lands on export.
 	export chan exportState
 	// install atomically inserts a fully rebuilt session (an import's
 	// output) under the tenant key, replacing any resident one; the ack
@@ -43,17 +41,17 @@ type job struct {
 	// stall blocks the shard loop until the channel closes (tests use it to
 	// saturate a queue deterministically).
 	stall chan struct{}
-	// enqueued timestamps admission for the advice-latency histogram.
+	// enqueued timestamps admission for the advice-latency histogram, which
+	// therefore measures queue wait.
 	enqueued time.Time
 }
 
-// exportState is one session's migratable snapshot: a deep copy of its
-// captured sample log, taken on the owning shard goroutine so it can never
-// tear against concurrent ingest.
+// exportState is one session's migratable snapshot, taken on the owning
+// shard goroutine so it can never tear against concurrent ingest. The open
+// window is a copy, safe to stream after the job returns.
 type exportState struct {
-	ok      bool
-	capture bool // false when the server is not Migratable
-	log     *trace.SampleLog
+	ok   bool
+	snap snapshot
 }
 
 // release returns a consumed sample buffer to its stream's free list. The
@@ -69,7 +67,11 @@ func (j *job) release() {
 	}
 }
 
-// SessionInfo is a diagnostic snapshot of one tenant's session.
+// SessionInfo is a diagnostic snapshot of one tenant's session. Records
+// and Ticks are cumulative over the session's life: a migration carries
+// them as checkpoint counters, so they survive a move. InternedPages is
+// local state a migration does not carry: it counts the pages touched
+// since the session was created or installed on this node.
 type SessionInfo struct {
 	Exists        bool
 	Ticks         int
@@ -163,39 +165,35 @@ func (sh *shard) session(tenant string, pageSize int, now time.Time) (*session, 
 	if err != nil {
 		return nil, err
 	}
-	if sh.srv.cfg.Migratable {
-		s.log = &trace.SampleLog{PageSize: pageSize}
-	}
+	s.capture = sh.srv.cfg.Migratable
 	s.lastSeen = now
 	sh.sessions[tenant] = s
 	sh.srv.metrics.sessionsActive.Add(1)
 	return s, nil
 }
 
-// exportSession deep-copies the tenant's captured sample log. Running on
-// the shard goroutine, it observes a log with every ingested batch applied
-// and no batch half-applied; the copy means the HTTP handler can stream it
-// out while the session keeps ingesting.
+// exportSession snapshots the tenant's session: its checkpoint counters
+// and a copy of its open window. Running on the shard goroutine, it
+// observes every ingested batch applied and none half-applied; the copy
+// means the HTTP handler can stream it out while the session keeps
+// ingesting.
 func (sh *shard) exportSession(tenant string) exportState {
-	if !sh.srv.cfg.Migratable {
-		return exportState{capture: false}
-	}
 	s := sh.sessions[tenant]
-	if s == nil || s.log == nil {
-		return exportState{capture: true}
+	if s == nil || !s.capture {
+		return exportState{}
 	}
-	cp := &trace.SampleLog{
-		PageSize: s.log.PageSize,
-		Samples:  append([]detect.Sample(nil), s.log.Samples...),
-		Windows:  append([]trace.SampleWindow(nil), s.log.Windows...),
-	}
-	return exportState{ok: true, capture: true, log: cp}
+	return exportState{ok: true, snap: snapshot{
+		pageSize: s.pageSize,
+		records:  s.det.TotalRecords,
+		windows:  s.ticks,
+		open:     append([]detect.Sample(nil), s.open...),
+	}}
 }
 
 // installSession inserts a rebuilt session under its tenant key. Import
 // rebuilds the session off-shard and installs it in this single step, so a
 // concurrently evicting or ingesting shard can only ever observe no session
-// or a fully replayed one — never a half-rebuilt state.
+// or a fully restored one — never a half-rebuilt state.
 func (sh *shard) installSession(s *session, now time.Time) {
 	s.lastSeen = now
 	if sh.sessions[s.tenant] == nil {

@@ -34,6 +34,13 @@ const None PageID = -1
 // stacks) touch only a few leaves each.
 const leafBits = 14
 
+// maxDenseLeaves caps the radix root. Pages whose leaf index falls past it
+// (4 KiB pages above 256 GiB, e.g. stack or kernel addresses in a wire
+// trace) are interned in a map instead: growing the root to reach them
+// would cost memory proportional to the address, and one sample near 2^64
+// would never finish allocating.
+const maxDenseLeaves = 1 << 12
+
 // Table interns virtual page base addresses. It is owned by one simulated
 // run (one mem.Memory) and shared by every address space of that run: all
 // spaces agree on the virtual layout, so a single addr→PageID mapping serves
@@ -42,8 +49,9 @@ const leafBits = 14
 type Table struct {
 	shift uint // log2(page size)
 	root  [][]PageID
-	addrs []uint64 // PageID -> page base address
-	gens  []uint32 // PageID -> generation (bumped on remap/unmap)
+	far   map[uint64]PageID // vpn -> PageID, for leaves past maxDenseLeaves
+	addrs []uint64          // PageID -> page base address
+	gens  []uint32          // PageID -> generation (bumped on remap/unmap)
 }
 
 // NewTable returns an empty table for the given page size (a power of two).
@@ -71,6 +79,17 @@ func (t *Table) Len() int { return len(t.addrs) }
 func (t *Table) Intern(addr uint64) PageID {
 	vpn := addr >> t.shift
 	ri := vpn >> leafBits
+	if ri >= maxDenseLeaves {
+		if id, ok := t.far[vpn]; ok {
+			return id
+		}
+		if t.far == nil {
+			t.far = make(map[uint64]PageID)
+		}
+		id := t.add(vpn)
+		t.far[vpn] = id
+		return id
+	}
 	for uint64(len(t.root)) <= ri {
 		t.root = append(t.root, nil)
 	}
@@ -86,8 +105,14 @@ func (t *Table) Intern(addr uint64) PageID {
 	if id := leaf[li]; id != None {
 		return id
 	}
-	id := PageID(len(t.addrs))
+	id := t.add(vpn)
 	leaf[li] = id
+	return id
+}
+
+// add assigns the next dense PageID to page vpn.
+func (t *Table) add(vpn uint64) PageID {
+	id := PageID(len(t.addrs))
 	t.addrs = append(t.addrs, vpn<<t.shift)
 	t.gens = append(t.gens, 0)
 	return id
@@ -99,6 +124,9 @@ func (t *Table) Lookup(addr uint64) PageID {
 	vpn := addr >> t.shift
 	ri := vpn >> leafBits
 	if ri >= uint64(len(t.root)) {
+		if id, ok := t.far[vpn]; ok {
+			return id
+		}
 		return None
 	}
 	leaf := t.root[ri]

@@ -35,6 +35,38 @@ func TestLookupMissesReturnNone(t *testing.T) {
 	}
 }
 
+// TestInternFarAddresses: pages past the dense radix root (up to the top of
+// the 64-bit space) intern into the overflow map in O(1) — the root stays
+// small — and keep dense IDs, lookups and generations like any other page.
+func TestInternFarAddresses(t *testing.T) {
+	tab := NewTable(4096)
+	near := tab.Intern(0x1000_0000)
+	top := tab.Intern(^uint64(0))
+	mid := tab.Intern(1 << 62)
+	if near != 0 || top != 1 || mid != 2 {
+		t.Fatalf("ids not dense: %d %d %d", near, top, mid)
+	}
+	if len(tab.root) > maxDenseLeaves {
+		t.Fatalf("root grew to %d leaves, cap %d", len(tab.root), maxDenseLeaves)
+	}
+	if got := tab.Intern(^uint64(0) - 5); got != top {
+		t.Errorf("re-intern within the top page = %d, want %d", got, top)
+	}
+	if got := tab.Lookup(1<<62 + 0xfff); got != mid {
+		t.Errorf("Lookup within far page = %d, want %d", got, mid)
+	}
+	if got := tab.Lookup(1<<62 + 0x1000); got != None {
+		t.Errorf("far neighbour = %d, want None", got)
+	}
+	if tab.Addr(top) != ^uint64(0)&^0xfff {
+		t.Errorf("Addr(top) = %#x", tab.Addr(top))
+	}
+	tab.Invalidate(mid)
+	if tab.Gen(mid) != 1 || tab.Gen(top) != 0 {
+		t.Errorf("generations %d/%d, want 1/0", tab.Gen(mid), tab.Gen(top))
+	}
+}
+
 func TestInvalidateBumpsGeneration(t *testing.T) {
 	tab := NewTable(4096)
 	id := tab.Intern(0x2000_0000)
