@@ -14,8 +14,9 @@
 # race-built in-process cluster — tmirouter over migratable tmid nodes —
 # with one node killed and one added mid-run under a 16-client fleet:
 # zero lost sessions, advice byte-identical to the offline replay) and
-# fuzz (a short run of the migration-stream fuzzer: hostile import input
-# must be an error, never a panic or a corrupt restored session).
+# fuzz (short runs of the migration-stream and sample-decoder fuzzers:
+# hostile input must be an error, never a panic, a corrupt restored session
+# or an out-of-range sample).
 # `make bench` persists one BENCH_<date>[.N].json
 # perf point per invocation so the trajectory across PRs stays
 # comparable; `make microbench` folds access-path microbenchmark stats
@@ -121,18 +122,25 @@ cluster-smoke:
 # allocgate runs the steady-state allocation guards without the race
 # detector (AllocsPerRun is meaningless under -race, so the race-harness
 # lane skips them): the binary wire codec's reader/writer and the service's
-# whole decode-convert-recycle ingest path must stay at 0 allocs/op.
+# whole decode-convert-recycle ingest path must stay at 0 allocs/op, and a
+# tmid session fed one window must hold at most 16 KiB of live heap at
+# 4 KiB and 2 MiB pages (the per-tenant footprint gate).
 allocgate:
-	$(GO) test -run 'SteadyStateDoesNotAllocate' -count 1 ./internal/toolio ./internal/service
+	$(GO) test -run 'SteadyStateDoesNotAllocate|SessionFootprint' -count 1 ./internal/toolio ./internal/service
 
 # fuzz mutates migration streams (hello, checkpoint line, open-window
 # frames) into the /v1/import parser and restores every accepted one: an
 # error is fine, a panic or a checkpoint that does not cover its open
-# window fails. The seeds include a ~1 MiB frame of MaxWireBatch samples;
-# capping minimization keeps the time budget on fuzzing rather than on
-# shrinking one large input.
+# window fails. It then fuzzes the two sample decoders tmid's streams go
+# through, NDJSON lines (DecodeWireMsg) and binary frames (BinReader): an
+# error is fine, a panic or an accepted sample outside the wire limits
+# fails. The seeds include ~1 MiB inputs of MaxWireBatch samples; capping
+# minimization keeps the time budget on fuzzing rather than on shrinking
+# one large input. go test fuzzes one target per run, hence three runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadMigrationStream -fuzztime 10s -fuzzminimizetime 10x ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzDecodeWireMsg -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
+	$(GO) test -run '^$$' -fuzz FuzzBinReaderReadFrame -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 
 vet:
 	$(GO) vet ./...

@@ -215,13 +215,16 @@ type Request struct {
 
 // linesPerChunk sizes the lazily allocated blocks of a stat page: 64 lines
 // = one 4 KiB page's worth, so small pages allocate exactly one chunk and
-// huge pages allocate only the chunks their hot lines live in.
+// huge pages allocate only the chunks their hot lines live in. The chunk
+// pointer table itself grows on demand to the highest chunk touched, so a
+// 2 MiB page sampled near its base holds one pointer, not 512.
 const linesPerChunk = 64
 
 type statChunk [linesPerChunk]lineStat
 
 // statPage holds one interned page's per-line window stats, stamped with
-// the page generation they were built against.
+// the page generation they were built against. chunks covers only up to the
+// highest chunk index sampled so far.
 type statPage struct {
 	gen    uint32
 	chunks []*statChunk
@@ -306,7 +309,7 @@ func (d *Detector) lineFor(line uint64) *lineStat {
 			sp := d.pages[id]
 			gen := d.tab.Gen(id)
 			if sp == nil {
-				sp = &statPage{gen: gen, chunks: make([]*statChunk, int(d.pageSize)/cache.LineSize/linesPerChunk)}
+				sp = &statPage{gen: gen}
 				d.pages[id] = sp
 			} else if sp.gen != gen {
 				// The page was remapped since these stats were built: they
@@ -318,10 +321,14 @@ func (d *Detector) lineFor(line uint64) *lineStat {
 				sp.gen = gen
 			}
 			li := int(line&(d.pageSize-1)) / cache.LineSize
-			ck := sp.chunks[li/linesPerChunk]
+			ci := li / linesPerChunk
+			if ci >= len(sp.chunks) {
+				sp.chunks = append(sp.chunks, make([]*statChunk, ci+1-len(sp.chunks))...)
+			}
+			ck := sp.chunks[ci]
 			if ck == nil {
 				ck = new(statChunk)
-				sp.chunks[li/linesPerChunk] = ck
+				sp.chunks[ci] = ck
 			}
 			return &ck[li%linesPerChunk]
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/disasm"
 	"repro/internal/perfev"
 	"repro/internal/raceflag"
+	"repro/internal/sim/intern"
 	"repro/internal/sim/mem"
 	"repro/internal/sim/osim"
 )
@@ -147,6 +148,54 @@ func TestRemapDropsStaleLineStats(t *testing.T) {
 	// The stale thread-0 span must not have inflated the verdict's records.
 	if rep, ok := f.det.Lines[line]; ok && rep.Records > 4000 {
 		t.Errorf("stale records leaked into the report: %+v", rep)
+	}
+}
+
+// A huge page's chunk table grows on demand; growth that happens after a
+// generation bump must still drop the dead mapping's chunks, and the new
+// chunks must start clean. The stale stat lives in chunk 0 of a 2 MiB page;
+// the first post-remap sample lands in chunk 7, so the reset loop runs over
+// the one-chunk table before the table grows past it.
+func TestRemapThenGrowChunkTable(t *testing.T) {
+	const pageSize = 2 << 20
+	tab := intern.NewTable(pageSize)
+	id := tab.Intern(heapLo)
+	det := New(Config{ThresholdPerSec: 1000, MinRecords: 8}, nil, nil, nil, tab, pageSize)
+
+	near := uint64(heapLo + 0x40)
+	ls := det.lineFor(near)
+	ls.epoch = det.epoch
+	ls.records = 100
+	ls.writeRecords = 100
+	ls.add(0, 0, 8, true)
+	sp := det.pages[id]
+	if len(sp.chunks) != 1 {
+		t.Fatalf("chunk table holds %d pointers after one sample near the base, want 1", len(sp.chunks))
+	}
+
+	tab.Invalidate(id)
+	far := uint64(heapLo + 7*linesPerChunk*64 + 0x80)
+	if got := det.lineFor(far); got.records != 0 || len(got.tids) != 0 {
+		t.Fatalf("grown chunk is not clean: records=%d tids=%v", got.records, got.tids)
+	}
+	if len(sp.chunks) != 8 || sp.gen != tab.Gen(id) {
+		t.Fatalf("chunk table len=%d gen=%d, want 8 and %d", len(sp.chunks), sp.gen, tab.Gen(id))
+	}
+	if sp.chunks[0] != nil {
+		t.Error("the dead mapping's chunk survived the generation bump")
+	}
+	if fresh := det.lineFor(near); fresh.records != 0 || len(fresh.tids) != 0 {
+		t.Fatalf("stale stats survived the remap: records=%d tids=%v", fresh.records, fresh.tids)
+	}
+
+	// The public path classifies fresh cross-thread traffic on both lines.
+	for i := 0; i < 2000; i++ {
+		det.Ingest(Sample{TID: 0, Addr: far, Width: 8, Write: true})
+		det.Ingest(Sample{TID: 1, Addr: far + 8, Width: 8, Write: true})
+		det.Ingest(Sample{TID: 1, Addr: near + 8, Width: 8, Write: true})
+	}
+	if req := det.Analyze(1.0, 1); req == nil || len(req.Lines) != 1 || req.Lines[0].Line != far {
+		t.Fatalf("post-remap window request = %+v, want false sharing on %#x only", req, far)
 	}
 }
 

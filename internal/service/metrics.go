@@ -47,7 +47,8 @@ type Metrics struct {
 	migrateFailed   atomic.Uint64 // imports/pushes that failed (session kept)
 
 	mu      sync.Mutex
-	latency histogram
+	latency histogram // tick queue wait
+	analyze histogram // tick analysis (session.advise) on the shard
 	// adviceBackend counts advice messages that carried each repair-backend
 	// recommendation (empty when no recommendation policy is configured).
 	adviceBackend map[string]uint64
@@ -59,13 +60,14 @@ type Metrics struct {
 
 func newMetrics(now func() time.Time) *Metrics {
 	t := now()
-	return &Metrics{now: now, start: t, lastRateAt: t, latency: newLatencyHistogram()}
+	return &Metrics{now: now, start: t, lastRateAt: t, latency: newLatencyHistogram(), analyze: newAnalyzeHistogram()}
 }
 
 // observeAdvice folds one advice reply into the classification counters and
-// the latency histogram. The shard samples its clock when it picks the tick
-// up, before advise runs, so latency is the tick's queue wait only.
-func (m *Metrics) observeAdvice(adv toolio.WireAdvice, latency time.Duration) {
+// the two tick histograms. The shard samples its clock when it picks the
+// tick up, before advise runs, so latency is the tick's queue wait only;
+// analyze is timed around advise alone.
+func (m *Metrics) observeAdvice(adv toolio.WireAdvice, latency, analyze time.Duration) {
 	m.advicePages.Add(uint64(len(adv.Pages)))
 	for _, l := range adv.Lines {
 		switch l.Class {
@@ -77,6 +79,7 @@ func (m *Metrics) observeAdvice(adv toolio.WireAdvice, latency time.Duration) {
 	}
 	m.mu.Lock()
 	m.latency.observe(latency.Seconds())
+	m.analyze.observe(analyze.Seconds())
 	if adv.Backend != "" {
 		if m.adviceBackend == nil {
 			m.adviceBackend = map[string]uint64{}
@@ -97,6 +100,35 @@ type histogram struct {
 func newLatencyHistogram() histogram {
 	bounds := []float64{50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1}
 	return histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// newAnalyzeHistogram buckets one window's analysis: a few hundred records
+// analyze in microseconds, so the buckets start an order of magnitude below
+// the queue-wait histogram's.
+func newAnalyzeHistogram() histogram {
+	bounds := []float64{5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 1}
+	return histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// snapshot copies h so it can be rendered outside the registry's lock.
+func (h *histogram) snapshot() histogram {
+	c := *h
+	c.counts = append([]uint64(nil), h.counts...)
+	return c
+}
+
+// writeTo renders h as the Prometheus histogram family name.
+func (h *histogram) writeTo(w io.Writer, name, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	cum := uint64(0)
+	for i, b := range h.bounds {
+		cum += h.counts[i]
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
+	}
+	cum += h.counts[len(h.bounds)]
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
+	fmt.Fprintf(w, "%s_count %d\n", name, h.count)
 }
 
 func (h *histogram) observe(v float64) {
@@ -163,9 +195,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	}
 	m.lastRateTotal = total
 	m.lastRateAt = now
-	h := m.latency
-	hCounts := append([]uint64(nil), h.counts...)
-	hSum, hCount := h.sum, h.count
+	latency, analyze := m.latency.snapshot(), m.analyze.snapshot()
 	backends := make([]string, 0, len(m.adviceBackend))
 	for b := range m.adviceBackend {
 		backends = append(backends, b)
@@ -178,16 +208,8 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	m.mu.Unlock()
 	gauge("tmid_ingest_records_per_sec", "Ingest rate over the interval since the previous scrape.", rate)
 
-	fmt.Fprintf(w, "# HELP tmid_advice_latency_seconds Tick queue wait: enqueue to shard pickup, sampled before analysis (excludes analyze and reply).\n# TYPE tmid_advice_latency_seconds histogram\n")
-	cum := uint64(0)
-	for i, b := range h.bounds {
-		cum += hCounts[i]
-		fmt.Fprintf(w, "tmid_advice_latency_seconds_bucket{le=\"%g\"} %d\n", b, cum)
-	}
-	cum += hCounts[len(h.bounds)]
-	fmt.Fprintf(w, "tmid_advice_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "tmid_advice_latency_seconds_sum %g\n", hSum)
-	fmt.Fprintf(w, "tmid_advice_latency_seconds_count %d\n", hCount)
+	latency.writeTo(w, "tmid_advice_latency_seconds", "Tick queue wait: enqueue to shard pickup, sampled before analysis (excludes analyze and reply).")
+	analyze.writeTo(w, "tmid_analyze_seconds", "Tick analysis on the shard: closing the window and rendering its advice (session.advise).")
 
 	if len(backends) > 0 {
 		fmt.Fprintf(w, "# HELP tmid_advice_backend_total Advice messages by recommended repair backend.\n# TYPE tmid_advice_backend_total counter\n")

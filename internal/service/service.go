@@ -243,10 +243,8 @@ type session struct {
 
 // newSession builds the per-tenant detector exactly the way the offline
 // replay does — same config, same interning — so the two stay in lockstep.
-// The page-size floor is load-bearing: the detector's per-page stat chunks
-// assume at least 64 cache lines per page, and a smaller page would index
-// an empty chunk table and panic the owning shard (the wire layer rejects
-// such hellos up front via toolio.CheckHello; this guards embedded users).
+// It enforces the wire layer's page-size floor (toolio.CheckHello rejects
+// such hellos up front; this guards embedded users).
 func newSession(tenant string, pageSize int, dcfg detect.Config) (*session, error) {
 	if pageSize < toolio.MinWirePageSize || pageSize&(pageSize-1) != 0 {
 		return nil, fmt.Errorf("service: tenant %q page size %d is not a power of two >= %d", tenant, pageSize, toolio.MinWirePageSize)

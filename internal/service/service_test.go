@@ -412,8 +412,12 @@ func TestMetricsExposition(t *testing.T) {
 		"tmid_queue_depth{shard=\"1\"} ",
 		"tmid_queue_capacity 256",
 		"tmid_ingest_records_per_sec ",
+		"# HELP tmid_advice_latency_seconds Tick queue wait: enqueue to shard pickup, sampled before analysis (excludes analyze and reply).",
 		"tmid_advice_latency_seconds_bucket{le=\"+Inf\"} " + fmt.Sprint(len(log.Windows)),
 		"tmid_advice_latency_seconds_count " + fmt.Sprint(len(log.Windows)),
+		"# TYPE tmid_analyze_seconds histogram",
+		"tmid_analyze_seconds_bucket{le=\"+Inf\"} " + fmt.Sprint(len(log.Windows)),
+		"tmid_analyze_seconds_count " + fmt.Sprint(len(log.Windows)),
 		"tmid_classified_lines_false_total",
 		"tmid_draining 0",
 	} {

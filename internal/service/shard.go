@@ -146,9 +146,11 @@ func (sh *shard) loop() {
 				continue
 			}
 			s.lastSeen = now
+			start := sh.srv.cfg.now()
 			adv := s.advise(*j.tick, sh.srv.cfg.Periods, sh.srv.cfg.RecommendBackend)
+			analyzed := sh.srv.cfg.now().Sub(start)
 			m.ticks.Add(1)
-			m.observeAdvice(adv, now.Sub(j.enqueued))
+			m.observeAdvice(adv, now.Sub(j.enqueued), analyzed)
 			j.reply <- adv
 		}
 	}

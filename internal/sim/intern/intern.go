@@ -28,11 +28,17 @@ type PageID int32
 // None marks "not interned" (the page has never been mapped).
 const None PageID = -1
 
-// leafBits sizes a radix leaf: one leaf covers 1<<leafBits consecutive
-// virtual pages. 2^14 pages per leaf keeps a leaf at 64 KiB (4-byte entries)
-// while the handful of simulated regions (globals, heap, TMI state, libc,
-// stacks) touch only a few leaves each.
+// leafBits sizes a radix leaf: one leaf covers up to 1<<leafBits
+// consecutive virtual pages, so the handful of simulated regions (globals,
+// heap, TMI state, libc, stacks) touch only a few leaves each. A leaf is
+// grown on demand, doubling from minLeaf entries, so it only spans the
+// highest index interned in it: a tmid session touching one page near a
+// leaf's base pays 64 bytes, not the 64 KiB a full leaf (4-byte entries)
+// would cost.
 const leafBits = 14
+
+// minLeaf is a leaf's first allocation, in entries.
+const minLeaf = 16
 
 // maxDenseLeaves caps the radix root. Pages whose leaf index falls past it
 // (4 KiB pages above 256 GiB, e.g. stack or kernel addresses in a wire
@@ -94,20 +100,33 @@ func (t *Table) Intern(addr uint64) PageID {
 		t.root = append(t.root, nil)
 	}
 	leaf := t.root[ri]
-	if leaf == nil {
-		leaf = make([]PageID, 1<<leafBits)
-		for i := range leaf {
-			leaf[i] = None
-		}
+	li := vpn & (1<<leafBits - 1)
+	if li >= uint64(len(leaf)) {
+		leaf = growLeaf(leaf, li)
 		t.root[ri] = leaf
 	}
-	li := vpn & (1<<leafBits - 1)
 	if id := leaf[li]; id != None {
 		return id
 	}
 	id := t.add(vpn)
 	leaf[li] = id
 	return id
+}
+
+// growLeaf returns leaf doubled (from minLeaf entries) until it covers
+// index li, keeping its entries and filling the new ones with None. The
+// length stays a power of two no larger than 1<<leafBits.
+func growLeaf(leaf []PageID, li uint64) []PageID {
+	n := max(len(leaf), minLeaf)
+	for uint64(n) <= li {
+		n *= 2
+	}
+	grown := make([]PageID, n)
+	copy(grown, leaf)
+	for i := len(leaf); i < n; i++ {
+		grown[i] = None
+	}
+	return grown
 }
 
 // add assigns the next dense PageID to page vpn.
@@ -119,7 +138,9 @@ func (t *Table) add(vpn uint64) PageID {
 }
 
 // Lookup returns addr's PageID, or None if the page was never interned.
-// This is the hot path: two array indexes, no allocation.
+// This is the hot path: two array indexes, no allocation. A leaf covers
+// only up to its highest interned index, so the bounds test doubles as the
+// never-allocated-leaf test.
 func (t *Table) Lookup(addr uint64) PageID {
 	vpn := addr >> t.shift
 	ri := vpn >> leafBits
@@ -130,10 +151,11 @@ func (t *Table) Lookup(addr uint64) PageID {
 		return None
 	}
 	leaf := t.root[ri]
-	if leaf == nil {
+	li := vpn & (1<<leafBits - 1)
+	if li >= uint64(len(leaf)) {
 		return None
 	}
-	return leaf[vpn&(1<<leafBits-1)]
+	return leaf[li]
 }
 
 // Addr returns the page base address of id.

@@ -67,6 +67,83 @@ func TestInternFarAddresses(t *testing.T) {
 	}
 }
 
+// TestLeavesGrowOnDemand: a leaf is allocated only up to the highest index
+// interned in it, doubling from minLeaf entries. Each case interns a first
+// page at leaf index first, then a second page at leaf index then, and
+// checks that the leaf spans no more than it must, that lookups past the
+// grown leaf miss, and that PageIDs and generations survive the growth.
+func TestLeavesGrowOnDemand(t *testing.T) {
+	const pageSize = 4096
+	const leafBase = uint64(3<<leafBits) * pageSize // leaf 3: a root with empty leaves below
+	page := func(li uint64) uint64 { return leafBase + li*pageSize }
+	for _, tc := range []struct {
+		name        string
+		first, then uint64
+		wantLen     int // leaf length after the first intern
+	}{
+		{"index 0", 0, 1 << leafBits / 2, minLeaf},
+		{"last of first allocation", minLeaf - 1, minLeaf, minLeaf},
+		{"first past first allocation", minLeaf, 1<<leafBits - 1, 2 * minLeaf},
+		{"index 129", 129, 130, 256},
+		{"last index", 1<<leafBits - 1, 0, 1 << leafBits},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := NewTable(pageSize)
+			a := tab.Intern(page(tc.first) + 0x123)
+			leaf := tab.root[3]
+			if len(leaf) != tc.wantLen {
+				t.Fatalf("leaf length %d after interning index %d, want %d", len(leaf), tc.first, tc.wantLen)
+			}
+			for i := 0; i < 3; i++ {
+				if tab.root[i] != nil {
+					t.Errorf("leaf %d allocated, want nil", i)
+				}
+			}
+			if got := tab.Lookup(page(tc.first)); got != a {
+				t.Errorf("Lookup(first) = %d, want %d", got, a)
+			}
+			if n := uint64(len(leaf)); n < 1<<leafBits {
+				if got := tab.Lookup(page(n)); got != None {
+					t.Errorf("Lookup past the grown leaf (index %d) = %d, want None", n, got)
+				}
+				if got := tab.Lookup(page(1<<leafBits - 1)); got != None {
+					t.Errorf("Lookup of the leaf's last index = %d, want None", got)
+				}
+			}
+			if got := tab.Lookup(page(0) - pageSize); got != None {
+				t.Errorf("Lookup in an unallocated leaf = %d, want None", got)
+			}
+
+			tab.Invalidate(a)
+			b := tab.Intern(page(tc.then))
+			if b != a+1 {
+				t.Errorf("second page id = %d, want %d", b, a+1)
+			}
+			grown := tab.root[3]
+			if len(grown) < int(max(tc.first, tc.then))+1 || len(grown) > 1<<leafBits || len(grown)&(len(grown)-1) != 0 {
+				t.Errorf("leaf length %d after interning %d and %d", len(grown), tc.first, tc.then)
+			}
+			if got := tab.Lookup(page(tc.first)); got != a {
+				t.Errorf("first page id after growth = %d, want %d", got, a)
+			}
+			if got := tab.Lookup(page(tc.then)); got != b {
+				t.Errorf("Lookup(second) = %d, want %d", got, b)
+			}
+			if tab.Gen(a) != 1 || tab.Gen(b) != 0 {
+				t.Errorf("generations after growth %d/%d, want 1/0", tab.Gen(a), tab.Gen(b))
+			}
+			if tab.Addr(a) != page(tc.first) {
+				t.Errorf("Addr(first) = %#x, want %#x", tab.Addr(a), page(tc.first))
+			}
+			for li := uint64(0); li < uint64(len(grown)); li++ {
+				if li != tc.first && li != tc.then && grown[li] != None {
+					t.Fatalf("leaf index %d = %d, want None", li, grown[li])
+				}
+			}
+		})
+	}
+}
+
 func TestInvalidateBumpsGeneration(t *testing.T) {
 	tab := NewTable(4096)
 	id := tab.Intern(0x2000_0000)

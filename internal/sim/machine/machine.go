@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/sim/cache"
@@ -258,7 +257,6 @@ type Machine struct {
 	hooks   Hooks
 	sched   Scheduler
 
-	mu      sync.Mutex
 	timers  timerHeap
 	started bool
 	failure error
@@ -335,10 +333,11 @@ func (m *Machine) Threads() []*Thread { return m.threads }
 func (m *Machine) Thread(i int) *Thread { return m.threads[i] }
 
 // AddTimer schedules fn at simulated time at; if period > 0 it repeats.
-// Timers fire at scheduling boundaries, with all threads quiescent.
+// Timers fire at scheduling boundaries, with all threads quiescent. Like
+// RemoveTimer it needs no lock: callers run before Run or under the
+// one-token discipline (a thread body, a hook or a timer callback), the
+// same way the scheduler itself reads the timer heap.
 func (m *Machine) AddTimer(at, period int64, fn func(now int64)) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.nextTimerID++
 	t := &timer{id: m.nextTimerID, at: at, period: period, fn: fn}
 	heap.Push(&m.timers, t)
@@ -347,8 +346,6 @@ func (m *Machine) AddTimer(at, period int64, fn func(now int64)) int {
 
 // RemoveTimer cancels a timer by id.
 func (m *Machine) RemoveTimer(id int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for i, t := range m.timers {
 		if t.id == id {
 			heap.Remove(&m.timers, i)
@@ -572,7 +569,8 @@ func (m *Machine) readyThreads() []*Thread {
 }
 
 // checkAbort panics out of a thread body when the machine has been aborted
-// (deadlock or external failure); the Run wrapper recovers it. Lock-free:
+// (a thread panic, deadlock or an abandoned schedule); the Run wrapper
+// recovers it. Lock-free:
 // it runs after every instruction.
 func (m *Machine) checkAbort() {
 	if m.aborted.Load() {
@@ -581,12 +579,3 @@ func (m *Machine) checkAbort() {
 }
 
 type abortSentinel struct{}
-
-// Fail aborts the run with err the next time the failing thread yields.
-func (m *Machine) Fail(err error) {
-	m.mu.Lock()
-	if m.failure == nil {
-		m.failure = err
-	}
-	m.mu.Unlock()
-}

@@ -6,20 +6,23 @@ import (
 	"testing"
 )
 
+// wireRoundTripMsgs is one message of every kind, shared by
+// TestWireRoundTrip and the FuzzDecodeWireMsg seed corpus.
+var wireRoundTripMsgs = []any{
+	WireHello{K: WireHelloKind, Version: SchemaVersion, Tenant: "run-42", PageSize: 4096},
+	WireSamples{K: WireSamplesKind, S: [][4]uint64{{3, 0x7f001040, 8, 1}, {0, 0x7f001048, 4, 0}}},
+	WireTick{K: WireTickKind, Seq: 7, IntervalSec: 0.0001, Period: 100},
+	WireAdvice{
+		K: WireAdviceKind, Seq: 7, Records: 37, NextPeriod: 400,
+		Backend: "tmebox",
+		Pages:   []uint64{0x7f000000},
+		Lines:   []WireLine{{Line: 0x7f001040, Class: "false", Records: 37, EstPerSec: 3.7e5, DroppedSpans: 1}},
+	},
+	WireError{K: WireErrorKind, Error: "shard overloaded, batch dropped", RetryMs: 1000},
+}
+
 func TestWireRoundTrip(t *testing.T) {
-	msgs := []any{
-		WireHello{K: WireHelloKind, Version: SchemaVersion, Tenant: "run-42", PageSize: 4096},
-		WireSamples{K: WireSamplesKind, S: [][4]uint64{{3, 0x7f001040, 8, 1}, {0, 0x7f001048, 4, 0}}},
-		WireTick{K: WireTickKind, Seq: 7, IntervalSec: 0.0001, Period: 100},
-		WireAdvice{
-			K: WireAdviceKind, Seq: 7, Records: 37, NextPeriod: 400,
-			Backend: "tmebox",
-			Pages:   []uint64{0x7f000000},
-			Lines:   []WireLine{{Line: 0x7f001040, Class: "false", Records: 37, EstPerSec: 3.7e5, DroppedSpans: 1}},
-		},
-		WireError{K: WireErrorKind, Error: "shard overloaded, batch dropped", RetryMs: 1000},
-	}
-	for _, msg := range msgs {
+	for _, msg := range wireRoundTripMsgs {
 		line := EncodeWire(msg)
 		if !bytes.HasSuffix(line, []byte("\n")) {
 			t.Fatalf("%T: encoded line not newline-terminated: %q", msg, line)

@@ -83,10 +83,9 @@ const (
 	// A batch of MaxWireBatch samples fits comfortably; anything larger is
 	// a protocol violation, not load.
 	MaxWireLine = 8 << 20
-	// MinWirePageSize is the smallest hello page size accepted. The
-	// detector's per-page stat chunks assume at least linesPerChunk (64)
-	// cache lines per page; a smaller page would index an empty chunk
-	// table and panic the owning shard.
+	// MinWirePageSize is the smallest hello page size accepted: the
+	// smallest page x86 maps, and exactly one of the detector's 64-line
+	// stat chunks.
 	MinWirePageSize = 4096
 	// MaxWirePageSize is the largest hello page size accepted (1 GiB huge
 	// pages).

@@ -61,7 +61,7 @@ func TestBinRoundTrip(t *testing.T) {
 
 // encodeFrames renders a sequence of frames to raw bytes for corruption
 // tests.
-func encodeFrames(t *testing.T, build func(bw *BinWriter) error) []byte {
+func encodeFrames(t testing.TB, build func(bw *BinWriter) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := build(NewBinWriter(&buf)); err != nil {
@@ -70,10 +70,17 @@ func encodeFrames(t *testing.T, build func(bw *BinWriter) error) []byte {
 	return buf.Bytes()
 }
 
-// TestBinDecodeEdgeCases is the table of hostile and malformed binary
-// input shared with the NDJSON edge cases below: every row must produce a
-// decode error (never a panic, never a misread batch).
-func TestBinDecodeEdgeCases(t *testing.T) {
+// binEdgeCase is one row of hostile or malformed binary input and the
+// error text it must produce.
+type binEdgeCase struct {
+	name string
+	in   []byte
+	want string
+}
+
+// binEdgeCases builds the binary edge table, shared by
+// TestBinDecodeEdgeCases and the FuzzBinReaderReadFrame seed corpus.
+func binEdgeCases(t testing.TB) []binEdgeCase {
 	good := encodeFrames(t, func(bw *BinWriter) error { return bw.WriteSamples(sampleBatch(4)) })
 	goodTick := encodeFrames(t, func(bw *BinWriter) error {
 		return bw.WriteTick(WireTick{Seq: 1, IntervalSec: 0.1, Period: 100})
@@ -98,11 +105,7 @@ func TestBinDecodeEdgeCases(t *testing.T) {
 	negSeqTick := append([]byte(nil), goodTick...)
 	binary.LittleEndian.PutUint64(negSeqTick[binHeaderSize:], ^uint64(0)) // seq = -1
 
-	for _, tc := range []struct {
-		name string
-		in   []byte
-		want string
-	}{
+	return []binEdgeCase{
 		{"truncated-header", good[:5], "truncated frame header"},
 		{"truncated-payload", good[:len(good)-3], "truncated frame payload"},
 		{"bad-magic", corrupt(func(b []byte) { b[0] = 'X' }), "bad frame magic"},
@@ -130,7 +133,14 @@ func TestBinDecodeEdgeCases(t *testing.T) {
 		{"bad-write-flag", hostileColumn("write", 7), "not 0 or 1"},
 		{"tick-negative-seq", negSeqTick, "negative"},
 		{"tick-short-payload", goodTick[:binHeaderSize+8], "truncated frame payload"},
-	} {
+	}
+}
+
+// TestBinDecodeEdgeCases is the table of hostile and malformed binary
+// input shared with the NDJSON edge cases below: every row must produce a
+// decode error (never a panic, never a misread batch).
+func TestBinDecodeEdgeCases(t *testing.T) {
+	for _, tc := range binEdgeCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			br := NewBinReader(bytes.NewReader(tc.in))
 			var err error
@@ -164,21 +174,28 @@ func TestBinReaderRespectsConfiguredCaps(t *testing.T) {
 	}
 }
 
+// ndjsonEdgeCases is the quad codec's hostile-input table, shared by
+// TestNDJSONDecodeEdgeCases and the FuzzDecodeWireMsg seed corpus: each
+// line must fail to decode with an error mentioning want.
+var ndjsonEdgeCases = []struct {
+	name, line, want string
+}{
+	{"hostile-tid", `{"k":"s","s":[[9223372036854775808,4096,8,1]]}`, "tid"},
+	{"tid-just-past-cap", fmt.Sprintf(`{"k":"s","s":[[%d,4096,8,1]]}`, MaxWireTID+1), "tid"},
+	{"zero-width", `{"k":"s","s":[[0,4096,0,1]]}`, "width"},
+	{"huge-width", `{"k":"s","s":[[0,4096,65,1]]}`, "width"},
+	{"hostile-write", `{"k":"s","s":[[0,4096,8,2]]}`, "write"},
+	{"oversized-batch", `{"k":"s","s":[` + strings.Repeat(`[0,0,8,1],`, MaxWireBatch) + `[0,0,8,1]]}`, "batch cap"},
+	{"tick-negative-seq", `{"k":"t","seq":-1,"interval":0.1,"period":100}`, "negative"},
+}
+
+// ndjsonBoundaryLine holds the in-range extremes every codec must accept.
+var ndjsonBoundaryLine = fmt.Sprintf(`{"k":"s","s":[[%d,4096,64,1],[0,4096,1,0]]}`, MaxWireTID)
+
 // TestNDJSONDecodeEdgeCases mirrors the binary table on the quad codec:
 // the same tid/width/write/seq/batch limits, enforced at DecodeWireMsg.
 func TestNDJSONDecodeEdgeCases(t *testing.T) {
-	hugeBatch := `{"k":"s","s":[` + strings.Repeat(`[0,0,8,1],`, MaxWireBatch) + `[0,0,8,1]]}`
-	for _, tc := range []struct {
-		name, line, want string
-	}{
-		{"hostile-tid", `{"k":"s","s":[[9223372036854775808,4096,8,1]]}`, "tid"},
-		{"tid-just-past-cap", fmt.Sprintf(`{"k":"s","s":[[%d,4096,8,1]]}`, MaxWireTID+1), "tid"},
-		{"zero-width", `{"k":"s","s":[[0,4096,0,1]]}`, "width"},
-		{"huge-width", `{"k":"s","s":[[0,4096,65,1]]}`, "width"},
-		{"hostile-write", `{"k":"s","s":[[0,4096,8,2]]}`, "write"},
-		{"oversized-batch", hugeBatch, "batch cap"},
-		{"tick-negative-seq", `{"k":"t","seq":-1,"interval":0.1,"period":100}`, "negative"},
-	} {
+	for _, tc := range ndjsonEdgeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := DecodeWireMsg([]byte(tc.line))
 			if err == nil {
@@ -190,8 +207,7 @@ func TestNDJSONDecodeEdgeCases(t *testing.T) {
 		})
 	}
 	// The boundary values stay valid.
-	ok := fmt.Sprintf(`{"k":"s","s":[[%d,4096,64,1],[0,4096,1,0]]}`, MaxWireTID)
-	if _, err := DecodeWireMsg([]byte(ok)); err != nil {
+	if _, err := DecodeWireMsg([]byte(ndjsonBoundaryLine)); err != nil {
 		t.Errorf("decode rejected in-range samples: %v", err)
 	}
 }
