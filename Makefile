@@ -14,9 +14,9 @@
 # race-built in-process cluster — tmirouter over migratable tmid nodes —
 # with one node killed and one added mid-run under a 16-client fleet:
 # zero lost sessions, advice byte-identical to the offline replay) and
-# fuzz (short runs of the migration-stream and sample-decoder fuzzers:
-# hostile input must be an error, never a panic, a corrupt restored session
-# or an out-of-range sample).
+# fuzz (short runs of the migration-stream, sample-decoder and stream-framer
+# fuzzers: hostile input must be an error, never a panic, a corrupt restored
+# session or an out-of-range sample).
 # `make bench` persists one BENCH_<date>[.N].json
 # perf point per invocation so the trajectory across PRs stays
 # comparable; `make microbench` folds access-path microbenchmark stats
@@ -133,14 +133,19 @@ allocgate:
 # error is fine, a panic or a checkpoint that does not cover its open
 # window fails. It then fuzzes the two sample decoders tmid's streams go
 # through, NDJSON lines (DecodeWireMsg) and binary frames (BinReader): an
-# error is fine, a panic or an accepted sample outside the wire limits
-# fails. The seeds include ~1 MiB inputs of MaxWireBatch samples; capping
-# minimization keeps the time budget on fuzzing rather than on shrinking
-# one large input. go test fuzzes one target per run, hence three runs.
+# error is fine, a panic or an accepted sample or tick outside the wire
+# limits fails. Last it fuzzes the stream framer tmid and the router relay
+# share (WireReader) over whole bodies in either encoding: its raw messages
+# must reassemble the input, every raw frame header must be valid, and
+# every decoded frame must be within the wire limits. The seeds include
+# ~1 MiB inputs of MaxWireBatch samples; capping minimization keeps the
+# time budget on fuzzing rather than on shrinking one large input. go test
+# fuzzes one target per run, hence four runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadMigrationStream -fuzztime 10s -fuzzminimizetime 10x ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireMsg -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzBinReaderReadFrame -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
+	$(GO) test -run '^$$' -fuzz FuzzWireReader -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 
 vet:
 	$(GO) vet ./...

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -401,5 +402,134 @@ func TestProberDetectsDeathAndRecovery(t *testing.T) {
 			t.Fatalf("prober never detected the death of %s", dead)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// readReplies POSTs body to the router's /v1/stream and decodes every reply
+// line, failing if the exchange takes longer than a few seconds.
+func readReplies(t *testing.T, url, body string) (int, []*toolio.WireMsg) {
+	t.Helper()
+	type result struct {
+		status int
+		msgs   []*toolio.WireMsg
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/stream", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		res := result{status: resp.StatusCode}
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			m, err := toolio.DecodeWireMsg(sc.Bytes())
+			if err != nil {
+				res.err = fmt.Errorf("reply line %q: %w", sc.Bytes(), err)
+				break
+			}
+			res.msgs = append(res.msgs, m)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		return res.status, res.msgs
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream through the router did not finish within 5s")
+		return 0, nil
+	}
+}
+
+// TestHostileTickThroughRouter: a tick whose interval is 1e-320, after a
+// false-sharing batch, once panicked the node's stream handler; through
+// the router, net/http's panic cleanup then blocked on the relay's open
+// request pipe, and the relay waited forever for advice. The client must
+// now get one non-retryable wire error promptly, and the node must stay
+// alive and in the ring.
+func TestHostileTickThroughRouter(t *testing.T) {
+	log := syntheticLog()
+	lc := newLocal(t, 1, Config{ProbeInterval: -1})
+
+	samples := log.WindowSamples(0)
+	msg := toolio.WireSamples{K: toolio.WireSamplesKind, S: make([][4]uint64, len(samples))}
+	for j, sm := range samples {
+		msg.S[j] = [4]uint64{uint64(sm.TID), sm.Addr, uint64(sm.Width), 0}
+		if sm.Write {
+			msg.S[j][3] = 1
+		}
+	}
+	hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: "hostile-tick", PageSize: log.PageSize}
+	tick := toolio.WireTick{K: toolio.WireTickKind, Seq: 0, IntervalSec: 1e-320, Period: 100}
+	body := string(toolio.EncodeWire(hello)) + string(toolio.EncodeWire(msg)) + string(toolio.EncodeWire(tick))
+
+	status, msgs := readReplies(t, lc.RouterURL, body)
+	if status != http.StatusOK {
+		t.Fatalf("admission status %d, want 200", status)
+	}
+	if len(msgs) != 1 || msgs[0].K != toolio.WireErrorKind || msgs[0].RetryMs != 0 {
+		t.Fatalf("hostile tick reply %+v, want one non-retryable wire error", msgs)
+	}
+	if got := lc.Router.metrics.nodesLost.Load(); got != 0 {
+		t.Errorf("tmirouter_nodes_lost_total = %d after a hostile tick, want 0", got)
+	}
+	// The node is still up: a well-formed stream through the router gets
+	// full parity.
+	cl := &service.Client{BaseURL: lc.RouterURL, Tenant: "after-hostile-tick", PageSize: log.PageSize}
+	res, err := cl.Replay(log, 1)
+	if err != nil {
+		t.Fatalf("stream after the hostile tick: %v", err)
+	}
+	if want := offlineTruth(t, log, 1); !bytes.Equal(res.Advice, want) {
+		t.Errorf("advice after the hostile tick diverged from offline replay")
+	}
+}
+
+// TestRouterAnswersFramingErrors: malformed binary framing is answered by
+// the router itself — one non-retryable wire error, as tmid answers the
+// same bytes — instead of being forwarded to a node whose verdict nobody
+// reads.
+func TestRouterAnswersFramingErrors(t *testing.T) {
+	lc := newLocal(t, 1, Config{ProbeInterval: -1})
+	var good bytes.Buffer
+	var cols toolio.SampleColumns
+	cols.Append(0, 0x10000, 8, true)
+	if err := toolio.NewBinWriter(&good).WriteSamples(&cols); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := func(mut func(b []byte)) []byte {
+		b := append([]byte(nil), good.Bytes()...)
+		mut(b)
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"bad-magic", corrupt(func(b []byte) { b[0], b[1] = 'X', 'X' }), "bad frame magic 0x5858"},
+		{"unknown-kind", corrupt(func(b []byte) { b[3] = 'z' }), "unknown frame kind"},
+		{"over-cap-payload", corrupt(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[4:], toolio.MaxWireLine+1)
+		}), "exceeds cap"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: "framing-" + tc.name, Wire: toolio.WireFormatBinary}
+			status, msgs := readReplies(t, lc.RouterURL, string(toolio.EncodeWire(hello))+string(tc.frame))
+			if status != http.StatusOK {
+				t.Fatalf("admission status %d, want 200", status)
+			}
+			if len(msgs) != 1 || msgs[0].K != toolio.WireErrorKind || !strings.Contains(msgs[0].Error, tc.want) {
+				t.Fatalf("reply %+v, want one wire error mentioning %q", msgs, tc.want)
+			}
+			if msgs[0].RetryMs != 0 {
+				t.Errorf("client framing error marked retryable: %+v", msgs[0])
+			}
+		})
 	}
 }

@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/promtext"
 )
 
 // routerMetrics is the router's own registry plus the aggregation point
@@ -37,53 +38,11 @@ type routerMetrics struct {
 	nodesRecovered atomic.Uint64
 
 	mu        sync.Mutex
-	migrateMS histogram // migration latency, milliseconds
-}
-
-// histogram is a fixed-bucket histogram (same shape the service uses).
-type histogram struct {
-	bounds []float64
-	counts []uint64
-	sum    float64
-	count  uint64
+	migrateMS promtext.Histogram // migration latency, milliseconds
 }
 
 func newRouterMetrics(now func() time.Time) *routerMetrics {
-	return &routerMetrics{now: now, migrateMS: histogram{
-		bounds: []float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500},
-		counts: make([]uint64, 13),
-	}}
-}
-
-func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.count++
-}
-
-// quantile returns the q-quantile upper bound from the bucket counts (the
-// harness reads p50/p99 off this; bucket resolution is plenty for a
-// latency budget assertion).
-func (h *histogram) quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		if cum > rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1] * 2 // +Inf bucket: report beyond the last bound
-		}
-	}
-	return h.bounds[len(h.bounds)-1] * 2
+	return &routerMetrics{now: now, migrateMS: promtext.NewHistogram(0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500)}
 }
 
 // migrationDone records one migration attempt's outcome and latency.
@@ -98,7 +57,7 @@ func (m *routerMetrics) migrationDone(result string, records int, d time.Duratio
 		m.migrationsFailed.Add(1)
 	}
 	m.mu.Lock()
-	m.migrateMS.observe(float64(d) / float64(time.Millisecond))
+	m.migrateMS.Observe(float64(d) / float64(time.Millisecond))
 	m.mu.Unlock()
 }
 
@@ -117,12 +76,11 @@ type MigrationStats struct {
 func (rt *Router) MigrationStats() MigrationStats {
 	m := rt.metrics
 	m.mu.Lock()
-	p50, p99 := m.migrateMS.quantile(0.50), m.migrateMS.quantile(0.99)
-	sum := m.migrateMS.sum
+	h := m.migrateMS.Snapshot()
 	m.mu.Unlock()
 	return MigrationStats{
 		OK: m.migrationsOK.Load(), Noop: m.migrationsNoop.Load(), Failed: m.migrationsFailed.Load(),
-		Records: m.migratedRecords.Load(), P50ms: p50, P99ms: p99, TotalMS: sum,
+		Records: m.migratedRecords.Load(), P50ms: h.Quantile(0.50), P99ms: h.Quantile(0.99), TotalMS: h.Sum(),
 	}
 }
 
@@ -143,12 +101,8 @@ var nodeMetricWhitelist = []string{
 // handleMetrics renders the router registry and the aggregated node slice.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := rt.metrics
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v uint64) { promtext.Counter(w, name, help, v) }
+	gauge := func(name, help string, v float64) { promtext.Gauge(w, name, help, v) }
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 
 	counter("tmirouter_streams_total", "Client streams admitted and relayed.", m.streamsTotal.Load())
@@ -156,7 +110,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("tmirouter_streams_failed_total", "Streams ended with a router-injected retryable error.", m.streamsFailed.Load())
 	counter("tmirouter_messages_relayed_total", "Wire messages forwarded to owning nodes.", m.messagesRelayed.Load())
 	counter("tmirouter_ticks_relayed_total", "Tick/advice round trips relayed.", m.ticksRelayed.Load())
-	fmt.Fprintf(w, "# HELP tmirouter_migrations_total Session migrations by outcome.\n# TYPE tmirouter_migrations_total counter\n")
+	promtext.Header(w, "tmirouter_migrations_total", "counter", "Session migrations by outcome.")
 	fmt.Fprintf(w, "tmirouter_migrations_total{result=\"ok\"} %d\n", m.migrationsOK.Load())
 	fmt.Fprintf(w, "tmirouter_migrations_total{result=\"noop\"} %d\n", m.migrationsNoop.Load())
 	fmt.Fprintf(w, "tmirouter_migrations_total{result=\"failed\"} %d\n", m.migrationsFailed.Load())
@@ -166,24 +120,13 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("tmirouter_ring_generation", "Current ring generation (bumps on every membership change).", float64(rt.gen.Load()))
 
 	m.mu.Lock()
-	h := m.migrateMS
-	hCounts := append([]uint64(nil), h.counts...)
-	hSum, hCount := h.sum, h.count
+	h := m.migrateMS.Snapshot()
 	m.mu.Unlock()
-	fmt.Fprintf(w, "# HELP tmirouter_migration_ms Session migration latency in milliseconds.\n# TYPE tmirouter_migration_ms histogram\n")
-	cum := uint64(0)
-	for i, b := range h.bounds {
-		cum += hCounts[i]
-		fmt.Fprintf(w, "tmirouter_migration_ms_bucket{le=\"%g\"} %d\n", b, cum)
-	}
-	cum += hCounts[len(h.bounds)]
-	fmt.Fprintf(w, "tmirouter_migration_ms_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "tmirouter_migration_ms_sum %g\n", hSum)
-	fmt.Fprintf(w, "tmirouter_migration_ms_count %d\n", hCount)
+	h.WriteTo(w, "tmirouter_migration_ms", "Session migration latency in milliseconds.")
 
 	// Membership gauges plus the whitelisted node re-export.
 	info := rt.Ring()
-	fmt.Fprintf(w, "# HELP tmirouter_node_up 1 when the node answers probes.\n# TYPE tmirouter_node_up gauge\n")
+	promtext.Header(w, "tmirouter_node_up", "gauge", "1 when the node answers probes.")
 	for _, n := range info.Nodes {
 		up := 0
 		if n.Alive {
@@ -191,7 +134,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(w, "tmirouter_node_up{node=%q} %d\n", n.URL, up)
 	}
-	fmt.Fprintf(w, "# HELP tmirouter_node_streams Streams currently relayed per node.\n# TYPE tmirouter_node_streams gauge\n")
+	promtext.Header(w, "tmirouter_node_streams", "gauge", "Streams currently relayed per node.")
 	for _, n := range info.Nodes {
 		fmt.Fprintf(w, "tmirouter_node_streams{node=%q} %d\n", n.URL, n.ActiveStreams)
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
@@ -15,10 +14,6 @@ import (
 	"repro/internal/detect"
 	"repro/internal/toolio"
 )
-
-// maxWireLine bounds one NDJSON wire line on the client's response reader;
-// the server side uses Config.MaxFrameBytes (same default).
-const maxWireLine = toolio.MaxWireLine
 
 // recycleDepth is the capacity of a stream's sample-buffer free list. The
 // reader owns one buffer while decoding and the shard queue holds at most
@@ -57,29 +52,24 @@ func (st *stream) buffer(n int) []detect.Sample {
 }
 
 // convert copies one decoded columnar batch into a recycled sample buffer.
-// The ranges were validated at frame decode, so this is four column reads
-// and a store per record — no allocation, no per-record range branch.
 func (st *stream) convert(cols *toolio.SampleColumns) []detect.Sample {
 	samples := st.buffer(cols.Len())
-	for i := range samples {
-		samples[i] = detect.Sample{
+	unpackColumns(samples, cols)
+	return samples
+}
+
+// unpackColumns copies cols into dst, which holds cols.Len() samples. The
+// ranges were validated at decode, so this is four column reads and a
+// store per record — no allocation, no per-record range branch.
+func unpackColumns(dst []detect.Sample, cols *toolio.SampleColumns) {
+	for i := range dst {
+		dst[i] = detect.Sample{
 			TID:   int(cols.TID[i]),
 			Addr:  cols.Addr[i],
 			Width: int(cols.Width[i]),
 			Write: cols.Write[i] != 0,
 		}
 	}
-	return samples
-}
-
-// convertQuads is convert's NDJSON twin: quads were range-checked by
-// DecodeWireMsg, and the buffer comes from the same recycle pool.
-func (st *stream) convertQuads(quads [][4]uint64) []detect.Sample {
-	samples := st.buffer(len(quads))
-	for i, q := range quads {
-		samples[i] = detect.Sample{TID: int(q[0]), Addr: q[1], Width: int(q[2]), Write: q[3] != 0}
-	}
-	return samples
 }
 
 // handleStream serves POST /v1/stream: an NDJSON hello negotiating the
@@ -108,7 +98,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	line, err := readWireLine(br, nil, s.cfg.MaxFrameBytes)
+	line, err := toolio.ReadLine(br, nil, s.cfg.MaxFrameBytes)
 	if err != nil {
 		http.Error(w, "tmid: empty stream (expected hello)", http.StatusBadRequest)
 		return
@@ -176,80 +166,41 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		free:     make(chan []detect.Sample, recycleDepth),
 		reply:    make(chan toolio.WireAdvice, 1),
 	}
-	if binary {
-		s.runBinaryStream(w, br, st, fail, flush)
-	} else {
-		s.runNDJSONStream(w, br, st, fail, flush, line[:0])
-	}
+	s.runStream(w, toolio.NewWireReader(br, hello.Wire, s.cfg.MaxFrameBytes), binary, st, fail, flush)
 	// EOF ends the stream but not the session: the tenant may reconnect and
 	// continue until the TTL evicts it. A mid-stream abort (fail already
 	// flushed the wire error) still drains to EOF — see bail above.
 	io.Copy(io.Discard, br)
 }
 
-// runNDJSONStream consumes NDJSON sample/tick lines. lineBuf seeds the
-// reusable line buffer (the hello's backing array).
-func (s *Server) runNDJSONStream(w http.ResponseWriter, br *bufio.Reader, st *stream, fail func(toolio.WireError), flush func(), lineBuf []byte) {
-	for {
-		line, err := readWireLine(br, lineBuf, s.cfg.MaxFrameBytes)
-		if err != nil {
-			if err != errStreamEnd {
-				fail(toolio.WireError{Error: err.Error()})
-			}
-			return
-		}
-		lineBuf = line[:0]
-		msg, err := toolio.DecodeWireMsg(line)
-		if err != nil {
-			fail(toolio.WireError{Error: err.Error()})
-			return
-		}
-		switch msg.K {
-		case toolio.WireSamplesKind:
-			if len(msg.S) == 0 {
-				continue
-			}
-			samples := st.convertQuads(msg.S)
-			s.metrics.wireRecordsNDJSON.Add(uint64(len(samples)))
-			if !s.enqueueSamples(st, samples, fail) {
-				return
-			}
-		case toolio.WireTickKind:
-			tick := toolio.WireTick{K: msg.K, Seq: msg.Seq, IntervalSec: msg.IntervalSec, Period: msg.Period}
-			if !s.handleTick(w, st, tick, fail, flush) {
-				return
-			}
-		default:
-			fail(toolio.WireError{Error: fmt.Sprintf("unexpected message kind %q", msg.K)})
-			return
-		}
-	}
-}
-
-// runBinaryStream consumes length-prefixed columnar batch frames. The
-// decode path is allocation-free at steady state: frames land in the
-// reader's reused payload buffer, columns are unpacked into its reused
+// runStream consumes the sample/tick messages after the hello, in either
+// encoding. The binary path is allocation-free at steady state: frames
+// land in the reader's reused buffer, columns are unpacked into its reused
 // column slices, and the record copy lands in a recycled per-stream sample
 // buffer whose ownership passes to the shard (recycled back on consume).
-func (s *Server) runBinaryStream(w http.ResponseWriter, br *bufio.Reader, st *stream, fail func(toolio.WireError), flush func()) {
-	rd := toolio.NewBinReader(br)
-	rd.MaxPayload = s.cfg.MaxFrameBytes
+func (s *Server) runStream(w http.ResponseWriter, rd *toolio.WireReader, binary bool, st *stream, fail func(toolio.WireError), flush func()) {
+	wireRecords := &s.metrics.wireRecordsNDJSON
+	if binary {
+		wireRecords = &s.metrics.wireRecordsBinary
+	}
 	for {
-		fr, err := rd.ReadFrame()
+		fr, err := rd.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				fail(toolio.WireError{Error: err.Error()})
 			}
 			return
 		}
-		s.metrics.wireFrames.Add(1)
+		if binary {
+			s.metrics.wireFrames.Add(1)
+		}
 		switch fr.Kind {
 		case toolio.WireSamplesKind[0]:
 			if fr.Samples.Len() == 0 {
 				continue
 			}
 			samples := st.convert(fr.Samples)
-			s.metrics.wireRecordsBinary.Add(uint64(len(samples)))
+			wireRecords.Add(uint64(len(samples)))
 			if !s.enqueueSamples(st, samples, fail) {
 				return
 			}
@@ -275,13 +226,9 @@ func (s *Server) enqueueSamples(st *stream, samples []detect.Sample, fail func(t
 	return true
 }
 
-// handleTick validates and enqueues one window-closing tick, then writes
-// the advice reply back.
+// handleTick enqueues one window-closing tick, validated at decode, then
+// writes the advice reply back.
 func (s *Server) handleTick(w http.ResponseWriter, st *stream, tick toolio.WireTick, fail func(toolio.WireError), flush func()) bool {
-	if tick.IntervalSec <= 0 || tick.Period < 1 {
-		fail(toolio.WireError{Error: fmt.Sprintf("tick seq %d: interval and period must be positive", tick.Seq)})
-		return false
-	}
 	j := job{tenant: st.tenant, pageSize: st.pageSize, tick: &tick, reply: st.reply, enqueued: s.cfg.now()}
 	if !s.enqueue(st.sh, j) {
 		s.metrics.droppedBatches.Add(1)
@@ -292,41 +239,6 @@ func (s *Server) handleTick(w http.ResponseWriter, st *stream, tick toolio.WireT
 	w.Write(toolio.EncodeWire(adv))
 	flush()
 	return true
-}
-
-// errStreamEnd reports a clean end of input to readWireLine callers.
-var errStreamEnd = fmt.Errorf("service: stream ended")
-
-// readWireLine reads one newline-terminated wire line into buf (reused
-// across calls), enforcing the line cap. A clean EOF before any byte
-// returns errStreamEnd.
-func readWireLine(br *bufio.Reader, buf []byte, maxLen int) ([]byte, error) {
-	if maxLen <= 0 {
-		maxLen = toolio.MaxWireLine
-	}
-	buf = buf[:0]
-	for {
-		frag, err := br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		if len(buf) > maxLen {
-			return nil, fmt.Errorf("service: wire line exceeds %d bytes", maxLen)
-		}
-		switch {
-		case err == nil:
-			return buf[:len(buf)-1], nil
-		case errors.Is(err, bufio.ErrBufferFull):
-			continue
-		case errors.Is(err, io.EOF):
-			if len(buf) == 0 {
-				return nil, errStreamEnd
-			}
-			// A final unterminated line is still a line (matches the old
-			// Scanner behavior).
-			return buf, nil
-		default:
-			return nil, err
-		}
-	}
 }
 
 // enqueuePoll is how often a backpressured enqueue re-checks the shard

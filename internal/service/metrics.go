@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/promtext"
 	"repro/internal/toolio"
 )
 
@@ -47,8 +48,8 @@ type Metrics struct {
 	migrateFailed   atomic.Uint64 // imports/pushes that failed (session kept)
 
 	mu      sync.Mutex
-	latency histogram // tick queue wait
-	analyze histogram // tick analysis (session.advise) on the shard
+	latency promtext.Histogram // tick queue wait
+	analyze promtext.Histogram // tick analysis (session.advise) on the shard
 	// adviceBackend counts advice messages that carried each repair-backend
 	// recommendation (empty when no recommendation policy is configured).
 	adviceBackend map[string]uint64
@@ -78,8 +79,8 @@ func (m *Metrics) observeAdvice(adv toolio.WireAdvice, latency, analyze time.Dur
 		}
 	}
 	m.mu.Lock()
-	m.latency.observe(latency.Seconds())
-	m.analyze.observe(analyze.Seconds())
+	m.latency.Observe(latency.Seconds())
+	m.analyze.Observe(analyze.Seconds())
 	if adv.Backend != "" {
 		if m.adviceBackend == nil {
 			m.adviceBackend = map[string]uint64{}
@@ -89,64 +90,22 @@ func (m *Metrics) observeAdvice(adv toolio.WireAdvice, latency, analyze time.Dur
 	m.mu.Unlock()
 }
 
-// histogram is a fixed-bucket Prometheus-style histogram.
-type histogram struct {
-	bounds []float64 // upper bounds, ascending; +Inf is implicit
-	counts []uint64  // len(bounds)+1
-	sum    float64
-	count  uint64
-}
-
-func newLatencyHistogram() histogram {
-	bounds := []float64{50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1}
-	return histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+func newLatencyHistogram() promtext.Histogram {
+	return promtext.NewHistogram(50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1)
 }
 
 // newAnalyzeHistogram buckets one window's analysis: a few hundred records
 // analyze in microseconds, so the buckets start an order of magnitude below
 // the queue-wait histogram's.
-func newAnalyzeHistogram() histogram {
-	bounds := []float64{5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 1}
-	return histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// snapshot copies h so it can be rendered outside the registry's lock.
-func (h *histogram) snapshot() histogram {
-	c := *h
-	c.counts = append([]uint64(nil), h.counts...)
-	return c
-}
-
-// writeTo renders h as the Prometheus histogram family name.
-func (h *histogram) writeTo(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	cum := uint64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
-	}
-	cum += h.counts[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count)
-}
-
-func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.count++
+func newAnalyzeHistogram() promtext.Histogram {
+	return promtext.NewHistogram(5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 1)
 }
 
 // WriteTo renders the registry in Prometheus text format. queueDepths and
 // queueCap describe the shards' ingest queues at scrape time.
 func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining bool) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v uint64) { promtext.Counter(w, name, help, v) }
+	gauge := func(name, help string, v float64) { promtext.Gauge(w, name, help, v) }
 
 	counter("tmid_ingest_records_total", "Resolved samples ingested into detector sessions.", m.records.Load())
 	counter("tmid_ingest_dropped_records_total", "Samples dropped because a shard queue stayed saturated past the enqueue wait.", m.droppedRecords.Load())
@@ -154,11 +113,11 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	counter("tmid_ingest_invalid_batches_total", "Batches refused by a shard (invalid session parameters).", m.invalidBatches.Load())
 	counter("tmid_streams_total", "Client streams admitted.", m.streamsTotal.Load())
 	counter("tmid_streams_rejected_total", "Client streams rejected with 429 because the tenant's shard was saturated.", m.rejected.Load())
-	fmt.Fprintf(w, "# HELP tmid_wire_streams_total Admitted streams by negotiated sample encoding.\n# TYPE tmid_wire_streams_total counter\n")
+	promtext.Header(w, "tmid_wire_streams_total", "counter", "Admitted streams by negotiated sample encoding.")
 	fmt.Fprintf(w, "tmid_wire_streams_total{encoding=\"ndjson\"} %d\n", m.streamsNDJSON.Load())
 	fmt.Fprintf(w, "tmid_wire_streams_total{encoding=\"binary\"} %d\n", m.streamsBinary.Load())
 	counter("tmid_wire_frames_total", "Binary wire frames decoded (samples and ticks).", m.wireFrames.Load())
-	fmt.Fprintf(w, "# HELP tmid_wire_records_total Sample records decoded at the wire boundary, by encoding.\n# TYPE tmid_wire_records_total counter\n")
+	promtext.Header(w, "tmid_wire_records_total", "counter", "Sample records decoded at the wire boundary, by encoding.")
 	fmt.Fprintf(w, "tmid_wire_records_total{encoding=\"ndjson\"} %d\n", m.wireRecordsNDJSON.Load())
 	fmt.Fprintf(w, "tmid_wire_records_total{encoding=\"binary\"} %d\n", m.wireRecordsBinary.Load())
 	gauge("tmid_streams_open", "Client streams currently connected.", float64(m.streamsOpen.Load()))
@@ -173,7 +132,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	counter("tmid_migrate_failed_total", "Migration imports or pushes that failed (source session kept).", m.migrateFailed.Load())
 
 	// Queue depth per shard plus the shared capacity bound.
-	fmt.Fprintf(w, "# HELP tmid_queue_depth Pending jobs in each shard's bounded ingest queue.\n# TYPE tmid_queue_depth gauge\n")
+	promtext.Header(w, "tmid_queue_depth", "gauge", "Pending jobs in each shard's bounded ingest queue.")
 	for i, d := range queueDepths {
 		fmt.Fprintf(w, "tmid_queue_depth{shard=\"%d\"} %d\n", i, d)
 	}
@@ -195,7 +154,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	}
 	m.lastRateTotal = total
 	m.lastRateAt = now
-	latency, analyze := m.latency.snapshot(), m.analyze.snapshot()
+	latency, analyze := m.latency.Snapshot(), m.analyze.Snapshot()
 	backends := make([]string, 0, len(m.adviceBackend))
 	for b := range m.adviceBackend {
 		backends = append(backends, b)
@@ -208,11 +167,11 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	m.mu.Unlock()
 	gauge("tmid_ingest_records_per_sec", "Ingest rate over the interval since the previous scrape.", rate)
 
-	latency.writeTo(w, "tmid_advice_latency_seconds", "Tick queue wait: enqueue to shard pickup, sampled before analysis (excludes analyze and reply).")
-	analyze.writeTo(w, "tmid_analyze_seconds", "Tick analysis on the shard: closing the window and rendering its advice (session.advise).")
+	latency.WriteTo(w, "tmid_advice_latency_seconds", "Tick queue wait: enqueue to shard pickup, sampled before analysis (excludes analyze and reply).")
+	analyze.WriteTo(w, "tmid_analyze_seconds", "Tick analysis on the shard: closing the window and rendering its advice (session.advise).")
 
 	if len(backends) > 0 {
-		fmt.Fprintf(w, "# HELP tmid_advice_backend_total Advice messages by recommended repair backend.\n# TYPE tmid_advice_backend_total counter\n")
+		promtext.Header(w, "tmid_advice_backend_total", "counter", "Advice messages by recommended repair backend.")
 		for i, b := range backends {
 			fmt.Fprintf(w, "tmid_advice_backend_total{backend=%q} %d\n", b, backendCounts[i])
 		}

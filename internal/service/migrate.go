@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 
 	"repro/internal/detect"
 	"repro/internal/toolio"
@@ -107,7 +108,7 @@ func writeMigrationStream(w io.Writer, tenant string, snap snapshot) error {
 // and records must cover the open window: the restored session subtracts
 // the one from the other.
 func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant string, snap snapshot, err error) {
-	line, err := readWireLine(br, nil, maxFrame)
+	line, err := toolio.ReadLine(br, nil, maxFrame)
 	if err != nil {
 		return "", snapshot{}, fmt.Errorf("migration stream: missing hello")
 	}
@@ -118,7 +119,7 @@ func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant str
 	if err := toolio.CheckHello(hello); err != nil {
 		return "", snapshot{}, err
 	}
-	line, err = readWireLine(br, nil, maxFrame)
+	line, err = toolio.ReadLine(br, line, maxFrame)
 	if err != nil {
 		return "", snapshot{}, fmt.Errorf("migration stream: missing checkpoint")
 	}
@@ -151,17 +152,12 @@ func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant str
 		if fr.Kind != toolio.WireSamplesKind[0] {
 			return "", snapshot{}, fmt.Errorf("migration stream: only the open window's sample frames may follow the checkpoint")
 		}
-		if len(snap.open)+fr.Samples.Len() > maxRecords {
+		n, k := len(snap.open), fr.Samples.Len()
+		if n+k > maxRecords {
 			return "", snapshot{}, fmt.Errorf("migration stream exceeds %d open-window records", maxRecords)
 		}
-		for i := 0; i < fr.Samples.Len(); i++ {
-			snap.open = append(snap.open, detect.Sample{
-				TID:   int(fr.Samples.TID[i]),
-				Addr:  fr.Samples.Addr[i],
-				Width: int(fr.Samples.Width[i]),
-				Write: fr.Samples.Write[i] != 0,
-			})
-		}
+		snap.open = slices.Grow(snap.open, k)[:n+k]
+		unpackColumns(snap.open[n:], fr.Samples)
 	}
 	if snap.records < uint64(len(snap.open)) {
 		return "", snapshot{}, fmt.Errorf("migration stream: checkpoint records %d do not cover the %d open-window samples", snap.records, len(snap.open))

@@ -246,17 +246,23 @@ func (c *Client) Replay(log *trace.SampleLog, repeat int) (*ReplayResult, error)
 		return nil, fmt.Errorf("service: stream rejected: %s: %s", resp.Status, bytes.TrimSpace(body))
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxWireLine)
-	for sc.Scan() {
-		msg, err := toolio.DecodeWireMsg(sc.Bytes())
+	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	var line []byte
+	for {
+		line, err = toolio.ReadLine(br, line, toolio.MaxWireLine)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		msg, err := toolio.DecodeWireMsg(line)
 		if err != nil {
 			return nil, err
 		}
 		switch msg.K {
 		case toolio.WireAdviceKind:
-			res.Advice = append(res.Advice, sc.Bytes()...)
-			res.Advice = append(res.Advice, '\n')
+			res.Advice = append(res.Advice, line...)
 		case toolio.WireErrorKind:
 			if msg.RetryMs > 0 {
 				return nil, &ErrBusy{RetryAfter: time.Duration(msg.RetryMs) * time.Millisecond}
@@ -265,9 +271,6 @@ func (c *Client) Replay(log *trace.SampleLog, repeat int) (*ReplayResult, error)
 		default:
 			return nil, fmt.Errorf("service: unexpected reply kind %q", msg.K)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if err := <-writeErr; err != nil && err != io.EOF {
 		return nil, fmt.Errorf("service: stream write: %w", err)

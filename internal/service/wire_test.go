@@ -60,7 +60,7 @@ func rawStream(t *testing.T, url, body string) (int, []*toolio.WireMsg) {
 	defer resp.Body.Close()
 	var msgs []*toolio.WireMsg
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxWireLine)
+	sc.Buffer(make([]byte, 64<<10), toolio.MaxWireLine)
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
@@ -163,6 +163,56 @@ func TestBinaryStreamEdgeCasesOverHTTP(t *testing.T) {
 				t.Fatalf("reply %+v, want wire error mentioning %q", msgs, tc.want)
 			}
 		})
+	}
+}
+
+// TestHostileTickIntervalAnswersWireError pins the tick-validation fix: a
+// tick interval of 1e-320 after a false-sharing batch made the line's
+// records·period/interval rate +Inf, and encoding that advice panicked the
+// stream handler, so the client got no wire error at all. Both encodings
+// must now reject the tick at decode with one non-retryable wire error.
+func TestHostileTickIntervalAnswersWireError(t *testing.T) {
+	srv, hs := newTestServer(t, Config{Shards: 1})
+	samples := syntheticLog().WindowSamples(0)
+	tick := toolio.WireTick{K: toolio.WireTickKind, Seq: 0, IntervalSec: 1e-320, Period: 100}
+
+	quads := toolio.WireSamples{K: toolio.WireSamplesKind, S: make([][4]uint64, len(samples))}
+	for i, sm := range samples {
+		quads.S[i] = [4]uint64{uint64(sm.TID), sm.Addr, uint64(sm.Width), 0}
+		if sm.Write {
+			quads.S[i][3] = 1
+		}
+	}
+	nd := helloLine("hostile-tick-ndjson", "") + string(toolio.EncodeWire(quads)) + string(toolio.EncodeWire(tick))
+
+	var bin bytes.Buffer
+	bin.WriteString(helloLine("hostile-tick-binary", toolio.WireFormatBinary))
+	bw := toolio.NewBinWriter(&bin)
+	var cols toolio.SampleColumns
+	packColumns(&cols, samples)
+	if err := bw.WriteSamples(&cols); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.WriteTick(tick); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, body := range map[string]string{"ndjson": nd, "binary": bin.String()} {
+		t.Run(name, func(t *testing.T) {
+			status, msgs := rawStream(t, hs.URL, body)
+			if status != http.StatusOK {
+				t.Fatalf("admission status %d, want 200", status)
+			}
+			if len(msgs) != 1 || msgs[0].K != toolio.WireErrorKind || !strings.Contains(msgs[0].Error, "interval") {
+				t.Fatalf("hostile tick reply %+v, want one wire error about the interval", msgs)
+			}
+			if msgs[0].RetryMs != 0 {
+				t.Errorf("malformed tick marked retryable: %+v", msgs[0])
+			}
+		})
+	}
+	if got := srv.Metrics().ticks.Load(); got != 0 {
+		t.Errorf("%d hostile ticks reached a detector session, want 0", got)
 	}
 }
 
@@ -343,7 +393,8 @@ func itoa(v uint64) string {
 }
 
 // TestBinaryIngestSteadyStateDoesNotAllocate is the service-side
-// AllocsPerRun gate on the zero-copy ingest path: frame decode (reader
+// AllocsPerRun gate on the zero-copy ingest path runStream takes for a
+// binary stream: frame decode through the stream's WireReader (reader
 // buffers), column conversion (recycled per-stream buffers) and the
 // shard's recycle-on-consume handoff must all stay off the heap at steady
 // state.
@@ -366,12 +417,13 @@ func TestBinaryIngestSteadyStateDoesNotAllocate(t *testing.T) {
 
 	st := &stream{tenant: "alloc", pageSize: 4096, free: make(chan []detect.Sample, recycleDepth)}
 	r := bytes.NewReader(frames)
-	rd := toolio.NewBinReader(r)
+	br := bufio.NewReaderSize(r, 256<<10)
+	rd := toolio.NewWireReader(br, toolio.WireFormatBinary, 0)
 	ingest := func() {
 		r.Reset(frames)
-		rd.Reset(r)
+		br.Reset(r)
 		for {
-			fr, err := rd.ReadFrame()
+			fr, err := rd.Next()
 			if err == io.EOF {
 				return
 			}

@@ -1,7 +1,6 @@
 package toolio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -84,9 +83,7 @@ func (r *BenchReport) Add(e BenchExperiment) {
 
 // Write emits the report as indented JSON.
 func (r *BenchReport) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeDoc(w, r)
 }
 
 // BenchFileName names the trajectory file for a YYYY-MM-DD date.
@@ -129,16 +126,11 @@ func LatestBenchFileName(date string, exists func(string) bool) string {
 // diff tooling).
 func ReadBenchReport(rd io.Reader) (*BenchReport, error) {
 	var r BenchReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+	if _, err := readDoc(rd, "trajectory", &r, &r.Version); err != nil {
 		return nil, err
 	}
 	if r.Tool != "tmibench" {
 		return nil, fmt.Errorf("toolio: not a tmibench trajectory (tool %q)", r.Tool)
 	}
-	v, err := checkVersion("trajectory", r.Version)
-	if err != nil {
-		return nil, err
-	}
-	r.Version = v
 	return &r, nil
 }

@@ -1,15 +1,45 @@
 package toolio
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"testing"
 )
+
+// checkTick fails t unless tick is within the wire's tick bounds, spelled
+// out here rather than through ValidateTick so a loosened validator fails.
+func checkTick(t *testing.T, tick WireTick) {
+	t.Helper()
+	if tick.Seq < 0 || tick.Period < 1 || math.IsNaN(tick.IntervalSec) || math.IsInf(tick.IntervalSec, 0) || tick.IntervalSec < MinWireInterval {
+		t.Fatalf("accepted out-of-range tick %+v", tick)
+	}
+}
+
+// checkColumns fails t unless c is a well-formed batch within the wire's
+// sample limits.
+func checkColumns(t *testing.T, c *SampleColumns) {
+	t.Helper()
+	n := c.Len()
+	if n > MaxWireBatch || len(c.Addr) != n || len(c.Width) != n || len(c.Write) != n {
+		t.Fatalf("accepted a batch with columns %d/%d/%d/%d, cap %d",
+			n, len(c.Addr), len(c.Width), len(c.Write), MaxWireBatch)
+	}
+	for i := 0; i < n; i++ {
+		if c.TID[i] > MaxWireTID || c.Width[i] < 1 || c.Width[i] > MaxWireWidth || c.Write[i] > 1 {
+			t.Fatalf("accepted out-of-range sample %d: tid %d width %d write %d",
+				i, c.TID[i], c.Width[i], c.Write[i])
+		}
+	}
+}
 
 // FuzzDecodeWireMsg mutates NDJSON wire lines into the quad decoder. Any
 // input may be rejected, but only with an error: a panic fails, and so does
 // an accepted samples batch or tick that breaks the limits the binary
-// decoder enforces (batch size, tid, width, write flag, tick seq).
+// decoder enforces (batch size, tid, width, write flag, tick seq, period
+// and interval).
 func FuzzDecodeWireMsg(f *testing.F) {
 	for _, msg := range wireRoundTripMsgs {
 		f.Add(bytes.TrimSuffix(EncodeWire(msg), []byte("\n")))
@@ -38,17 +68,14 @@ func FuzzDecodeWireMsg(f *testing.F) {
 				}
 			}
 		case WireTickKind:
-			if m.Seq < 0 {
-				t.Fatalf("accepted tick seq %d", m.Seq)
-			}
+			checkTick(t, WireTick{Seq: m.Seq, IntervalSec: m.IntervalSec, Period: m.Period})
 		}
 	})
 }
 
 // FuzzBinReaderReadFrame mutates binary frame streams into BinReader. Every
-// frame it hands back must be a well-formed samples batch within the wire
-// limits or a tick with a non-negative seq; anything else must be an error,
-// never a panic.
+// frame it hands back must be a well-formed samples batch or a tick within
+// the wire limits; anything else must be an error, never a panic.
 func FuzzBinReaderReadFrame(f *testing.F) {
 	var tick bytes.Buffer
 	if err := NewBinWriter(&tick).WriteTick(WireTick{Seq: 3, IntervalSec: 0.0001, Period: 100}); err != nil {
@@ -78,27 +105,101 @@ func FuzzBinReaderReadFrame(f *testing.F) {
 				}
 				return
 			}
-			switch fr.Kind {
-			case WireSamplesKind[0]:
-				c := fr.Samples
-				n := c.Len()
-				if n > MaxWireBatch || len(c.Addr) != n || len(c.Width) != n || len(c.Write) != n {
-					t.Fatalf("accepted a batch with columns %d/%d/%d/%d, cap %d",
-						n, len(c.Addr), len(c.Width), len(c.Write), MaxWireBatch)
-				}
-				for i := 0; i < n; i++ {
-					if c.TID[i] > MaxWireTID || c.Width[i] < 1 || c.Width[i] > MaxWireWidth || c.Write[i] > 1 {
-						t.Fatalf("accepted out-of-range sample %d: tid %d width %d write %d",
-							i, c.TID[i], c.Width[i], c.Write[i])
-					}
-				}
-			case WireTickKind[0]:
-				if fr.Tick.Seq < 0 {
-					t.Fatalf("accepted tick seq %d", fr.Tick.Seq)
-				}
-			default:
-				t.Fatalf("accepted unknown frame kind 0x%02x", fr.Kind)
+			checkFrame(t, fr)
+		}
+	})
+}
+
+// checkFrame fails t unless fr is a samples batch or a tick within the
+// wire limits.
+func checkFrame(t *testing.T, fr *BinFrame) {
+	t.Helper()
+	switch fr.Kind {
+	case WireSamplesKind[0]:
+		checkColumns(t, fr.Samples)
+	case WireTickKind[0]:
+		checkTick(t, fr.Tick)
+	default:
+		t.Fatalf("accepted unknown frame kind 0x%02x", fr.Kind)
+	}
+}
+
+// FuzzWireReader mutates whole request bodies (the part after the hello)
+// into the shared stream framer, in either encoding. Any input may be
+// rejected, but only with an error, and:
+//   - NextRaw is lossless: the raw messages it returns concatenate to the
+//     input it consumed, apart from the '\n' it appends to an unterminated
+//     final NDJSON line;
+//   - every raw binary frame carries a valid header and a payload within
+//     the cap;
+//   - every frame Next returns is within the wire limits.
+func FuzzWireReader(f *testing.F) {
+	var ndjson bytes.Buffer
+	for _, msg := range wireRoundTripMsgs {
+		f.Add(false, EncodeWire(msg))
+		ndjson.Write(EncodeWire(msg))
+	}
+	f.Add(false, ndjson.Bytes())
+	f.Add(false, bytes.TrimSuffix(ndjson.Bytes(), []byte("\n")))
+	for _, tc := range ndjsonEdgeCases {
+		f.Add(false, []byte(tc.line+"\n"))
+	}
+	f.Add(false, []byte(ndjsonBoundaryLine))
+	f.Add(false, []byte("\n\n{\"seq\":1,\"k\":\"t\"}"))
+	for _, n := range []int{0, 1, MaxWireBatch} {
+		f.Add(true, encodeFrames(f, func(bw *BinWriter) error { return bw.WriteSamples(sampleBatch(n)) }))
+	}
+	f.Add(true, encodeFrames(f, func(bw *BinWriter) error {
+		if err := bw.WriteSamples(sampleBatch(3)); err != nil {
+			return err
+		}
+		return bw.WriteTick(WireTick{Seq: 4, IntervalSec: 0.1, Period: 400})
+	}))
+	for _, tc := range binEdgeCases(f) {
+		f.Add(true, tc.in)
+	}
+
+	f.Fuzz(func(t *testing.T, bin bool, in []byte) {
+		wire := WireFormatNDJSON
+		if bin {
+			wire = WireFormatBinary
+		}
+		rd := NewWireReader(bufio.NewReader(bytes.NewReader(in)), wire, 0)
+		var got []byte
+		var err error
+		for {
+			var kind byte
+			var raw []byte
+			kind, raw, err = rd.NextRaw()
+			if err != nil {
+				break
 			}
+			if bin {
+				if len(raw) < binHeaderSize || raw[0] != wireBinMagic0 || raw[1] != wireBinMagic1 || raw[2] != WireBinVersion ||
+					raw[3] != kind || (kind != WireSamplesKind[0] && kind != WireTickKind[0]) ||
+					int(binary.LittleEndian.Uint32(raw[4:])) != len(raw)-binHeaderSize || len(raw)-binHeaderSize > MaxWireLine {
+					t.Fatalf("raw frame with a bad header: % x", raw[:min(len(raw), binHeaderSize)])
+				}
+			} else if i := bytes.IndexByte(raw, '\n'); i != len(raw)-1 {
+				t.Fatalf("raw line %q is not one newline-terminated line", raw)
+			}
+			got = append(got, raw...)
+		}
+		want := in
+		if err == io.EOF && !bin && len(in) > 0 && in[len(in)-1] != '\n' {
+			want = append(append([]byte(nil), in...), '\n')
+		}
+		if err == io.EOF && !bytes.Equal(got, want) || err != io.EOF && !bytes.HasPrefix(in, got) {
+			t.Fatalf("raw messages %q do not reassemble the input %q (err %v)", got, in, err)
+		}
+
+		rd = NewWireReader(bufio.NewReader(bytes.NewReader(in)), wire, 0)
+		for {
+			fr, err := rd.Next()
+			if err != nil {
+				return
+			}
+			checkFrame(t, fr)
 		}
 	})
 }

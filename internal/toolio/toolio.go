@@ -35,6 +35,28 @@ func checkVersion(kind string, v int) (int, error) {
 	return v, nil
 }
 
+// readDoc decodes one versioned document into doc and normalizes its
+// version field: pre-versioning documents read as version 1, and ones
+// newer than this tool are rejected.
+func readDoc[T any](rd io.Reader, kind string, doc *T, version *int) (*T, error) {
+	if err := json.NewDecoder(rd).Decode(doc); err != nil {
+		return nil, err
+	}
+	v, err := checkVersion(kind, *version)
+	if err != nil {
+		return nil, err
+	}
+	*version = v
+	return doc, nil
+}
+
+// writeDoc emits a document as indented JSON.
+func writeDoc(w io.Writer, doc any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}
+
 // Finding is one diagnostic from any checker. Rule is the stable,
 // tool-scoped identifier CI filters on (tmilint: the verifier rule names;
 // tmimc: "sc-divergence", "data-race", "validation", "incomplete").
@@ -69,15 +91,7 @@ func NewReport(tool string) *Report {
 // and rejecting ones newer than this tool understands.
 func ReadReport(rd io.Reader) (*Report, error) {
 	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	v, err := checkVersion("report", r.Version)
-	if err != nil {
-		return nil, err
-	}
-	r.Version = v
-	return &r, nil
+	return readDoc(rd, "report", &r, &r.Version)
 }
 
 // SuggestRepair is one proposed source-level repair in the suggest schema:
@@ -120,22 +134,12 @@ func NewSuggestReport(tool, workload string) *SuggestReport {
 // documents and rejecting ones newer than this tool understands.
 func ReadSuggestReport(rd io.Reader) (*SuggestReport, error) {
 	var r SuggestReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	v, err := checkVersion("suggest report", r.Version)
-	if err != nil {
-		return nil, err
-	}
-	r.Version = v
-	return &r, nil
+	return readDoc(rd, "suggest report", &r, &r.Version)
 }
 
 // Write emits the suggest report as indented JSON.
 func (r *SuggestReport) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeDoc(w, r)
 }
 
 // Add appends a finding (stamping the tool name) and flips the verdict.
@@ -150,7 +154,5 @@ func (r *Report) AddStat(key string, v float64) { r.Stats[key] = v }
 
 // Write emits the report as indented JSON.
 func (r *Report) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeDoc(w, r)
 }

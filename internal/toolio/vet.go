@@ -7,7 +7,6 @@ package toolio
 // and future-version rejection as the checker Report.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -94,24 +93,14 @@ func (r *VetReport) AddStat(key string, v float64) { r.Stats[key] = v }
 
 // Write emits the report as indented JSON.
 func (r *VetReport) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeDoc(w, r)
 }
 
 // ReadVetReport parses a tmivet report, normalizing pre-versioning
 // documents and rejecting ones newer than this tool understands.
 func ReadVetReport(rd io.Reader) (*VetReport, error) {
 	var r VetReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	v, err := checkVersion("vet report", r.Version)
-	if err != nil {
-		return nil, err
-	}
-	r.Version = v
-	return &r, nil
+	return readDoc(rd, "vet report", &r, &r.Version)
 }
 
 // Grade validates a confirmation grade string.

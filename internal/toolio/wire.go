@@ -120,8 +120,8 @@ type WireMsg struct {
 	RetryMs     int         `json:"retry_ms,omitempty"`
 }
 
-// DecodeWireMsg parses one NDJSON line. Sample quads and tick sequence
-// numbers are range-checked here — samples cross the trust boundary as raw
+// DecodeWireMsg parses one NDJSON line. Sample quads and ticks are
+// range-checked here — samples cross the trust boundary as raw
 // integers, and the same limits the binary decoder enforces per column
 // (MaxWireTID, MaxWireWidth, MaxWireBatch) apply to the quad form, so a
 // hostile quad like tid=2^63 is a decode error in both codecs rather than
@@ -144,8 +144,8 @@ func DecodeWireMsg(line []byte) (*WireMsg, error) {
 			}
 		}
 	case WireTickKind:
-		if m.Seq < 0 {
-			return nil, fmt.Errorf("toolio: tick seq %d is negative", m.Seq)
+		if err := ValidateTick(WireTick{Seq: m.Seq, IntervalSec: m.IntervalSec, Period: m.Period}); err != nil {
+			return nil, err
 		}
 	}
 	return &m, nil

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -104,10 +105,15 @@ func binEdgeCases(t testing.TB) []binEdgeCase {
 	}
 	negSeqTick := append([]byte(nil), goodTick...)
 	binary.LittleEndian.PutUint64(negSeqTick[binHeaderSize:], ^uint64(0)) // seq = -1
+	hostileTick := func(interval float64, period int) []byte {
+		return encodeFrames(t, func(bw *BinWriter) error {
+			return bw.WriteTick(WireTick{Seq: 1, IntervalSec: interval, Period: period})
+		})
+	}
 
 	return []binEdgeCase{
 		{"truncated-header", good[:5], "truncated frame header"},
-		{"truncated-payload", good[:len(good)-3], "truncated frame payload"},
+		{"truncated-payload", good[:len(good)-3], fmt.Sprintf("truncated frame payload (%d of %d bytes)", len(good)-3-binHeaderSize, len(good)-binHeaderSize)},
 		{"bad-magic", corrupt(func(b []byte) { b[0] = 'X' }), "bad frame magic"},
 		{"future-version", corrupt(func(b []byte) { b[2] = WireBinVersion + 1 }), "frame version"},
 		{"unknown-kind", corrupt(func(b []byte) { b[3] = 'z' }), "unknown frame kind"},
@@ -132,7 +138,13 @@ func binEdgeCases(t testing.TB) []binEdgeCase {
 		{"huge-width", hostileColumn("width", 4096), "width out of range"},
 		{"bad-write-flag", hostileColumn("write", 7), "not 0 or 1"},
 		{"tick-negative-seq", negSeqTick, "negative"},
-		{"tick-short-payload", goodTick[:binHeaderSize+8], "truncated frame payload"},
+		{"tick-short-payload", goodTick[:binHeaderSize+8], "truncated frame payload (8 of 24 bytes)"},
+		{"tick-denormal-interval", hostileTick(1e-320, 100), "interval"},
+		{"tick-nan-interval", hostileTick(math.NaN(), 100), "interval"},
+		{"tick-inf-interval", hostileTick(math.Inf(1), 100), "interval"},
+		{"tick-zero-interval", hostileTick(0, 100), "interval"},
+		{"tick-negative-interval", hostileTick(-0.1, 100), "interval"},
+		{"tick-zero-period", hostileTick(0.1, 0), "period"},
 	}
 }
 
@@ -187,6 +199,13 @@ var ndjsonEdgeCases = []struct {
 	{"hostile-write", `{"k":"s","s":[[0,4096,8,2]]}`, "write"},
 	{"oversized-batch", `{"k":"s","s":[` + strings.Repeat(`[0,0,8,1],`, MaxWireBatch) + `[0,0,8,1]]}`, "batch cap"},
 	{"tick-negative-seq", `{"k":"t","seq":-1,"interval":0.1,"period":100}`, "negative"},
+	{"tick-denormal-interval", `{"k":"t","seq":0,"interval":1e-320,"period":100}`, "interval"},
+	{"tick-zero-interval", `{"k":"t","seq":0,"interval":0,"period":100}`, "interval"},
+	{"tick-missing-interval", `{"k":"t","seq":0,"period":100}`, "interval"},
+	{"tick-negative-interval", `{"k":"t","seq":0,"interval":-0.1,"period":100}`, "interval"},
+	{"tick-overflowing-interval", `{"k":"t","seq":0,"interval":1e400,"period":100}`, "interval"},
+	{"tick-zero-period", `{"k":"t","seq":0,"interval":0.1,"period":0}`, "period"},
+	{"tick-negative-period", `{"k":"t","seq":0,"interval":0.1,"period":-5}`, "period"},
 }
 
 // ndjsonBoundaryLine holds the in-range extremes every codec must accept.
