@@ -11,7 +11,7 @@ import (
 	"repro/internal/toolio"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden scrape files under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // checkGolden compares got against testdata/name, or rewrites the file
 // when the test runs with -update.
