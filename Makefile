@@ -121,12 +121,16 @@ cluster-smoke:
 
 # allocgate runs the steady-state allocation guards without the race
 # detector (AllocsPerRun is meaningless under -race, so the race-harness
-# lane skips them): the binary wire codec's reader/writer and the service's
-# whole decode-convert-recycle ingest path must stay at 0 allocs/op, and a
-# tmid session fed one window must hold at most 16 KiB of live heap at
-# 4 KiB and 2 MiB pages (the per-tenant footprint gate).
+# lane skips them): the binary wire codec's reader/writer, the service's
+# whole decode-convert-recycle ingest path and a detector window (Ingest
+# then Analyze, no page over the threshold) must stay at 0 allocs/op. The
+# per-tenant footprint gate rides along: a tmid session fed one window
+# holds at most 16 KiB of live heap at 4 KiB and 2 MiB pages, and so does
+# one fed 10,000 windows on fresh pages (within 1 KiB of its one-window
+# figure), one on 1 GiB pages sampled near page tops, and one fed the
+# largest wire TID.
 allocgate:
-	$(GO) test -run 'SteadyStateDoesNotAllocate|SessionFootprint' -count 1 ./internal/toolio ./internal/service
+	$(GO) test -run 'SteadyStateDoesNotAllocate|SessionFootprint' -count 1 ./internal/toolio ./internal/detect ./internal/service
 
 # fuzz mutates migration streams (hello, checkpoint line, open-window
 # frames) into the /v1/import parser and restores every accepted one: an

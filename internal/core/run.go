@@ -297,6 +297,7 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 			ThresholdPerSec: cfg.ThresholdPerSec,
 			MinRecords:      detect.DefaultConfig().MinRecords,
 		}, rt.mon, rt.prog, rt.maps, rt.memory.PageTable(), pageSize)
+		rt.det.History = detect.NewHistory()
 		if cfg.CaptureSamples {
 			rt.sampleLog = &trace.SampleLog{PageSize: pageSize}
 			rt.det.SetTap(rt.sampleLog)
@@ -664,17 +665,18 @@ func (rt *runtime) execute(w workload.Workload) (*Report, error) {
 	}
 	if rt.det != nil {
 		rep.RecordsSeen = rt.det.TotalRecords
-		rep.TrueLines = len(rt.det.TrueLines)
-		rep.FalseLines = len(rt.det.FalseLines)
-		rep.TrueRecords = rt.det.TrueRecords
-		rep.FalseRecords = rt.det.FalseRecords
-		rep.SpanDrops = rt.det.DroppedSpans
-		for _, lr := range rt.det.Lines {
+		h := rt.det.History
+		rep.TrueLines = len(h.TrueLines)
+		rep.FalseLines = len(h.FalseLines)
+		rep.TrueRecords = h.TrueRecords
+		rep.FalseRecords = h.FalseRecords
+		rep.SpanDrops = h.DroppedSpans
+		for _, lr := range h.Lines {
 			rep.Lines = append(rep.Lines, lr)
 		}
 		sort.Slice(rep.Lines, func(i, j int) bool { return rep.Lines[i].Line < rep.Lines[j].Line })
-		rep.PredictedManualSpeedup = rt.det.PredictManualSpeedup(rt.mon.Period(), rt.mc.Elapsed(), rt.threads)
-		rep.LineSizePredictions = rt.det.PredictLineSizes()
+		rep.PredictedManualSpeedup = h.PredictManualSpeedup(rt.mon.Period(), rt.mc.Elapsed(), rt.threads)
+		rep.LineSizePredictions = h.PredictLineSizes()
 	}
 	if rt.san != nil {
 		rt.san.finish()

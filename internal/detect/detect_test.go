@@ -36,6 +36,7 @@ func newFixture(t *testing.T, period int, cfg Config) *fixture {
 	maps.AddRegion(heapLo, heapHi, osim.RegionHeap, "heap")
 	maps.AddRegion(libLo, libHi, osim.RegionLib, "libc")
 	f.det = New(cfg, f.mon, f.prog, &maps, nil, 4096)
+	f.det.History = NewHistory()
 	return f
 }
 
@@ -60,8 +61,8 @@ func TestDetectsDisjointStoresAsFalseSharing(t *testing.T) {
 	if len(req.Pages) != 1 || req.Pages[0] != heapLo {
 		t.Errorf("pages %v, want [0x%x]", req.Pages, uint64(heapLo))
 	}
-	if len(f.det.FalseLines) != 1 || len(f.det.TrueLines) != 0 {
-		t.Errorf("false=%d true=%d", len(f.det.FalseLines), len(f.det.TrueLines))
+	if len(f.det.History.FalseLines) != 1 || len(f.det.History.TrueLines) != 0 {
+		t.Errorf("false=%d true=%d", len(f.det.History.FalseLines), len(f.det.History.TrueLines))
 	}
 }
 
@@ -73,8 +74,8 @@ func TestClassifiesOverlapAsTrueSharing(t *testing.T) {
 	if req := f.det.Tick(1.0); req != nil {
 		t.Errorf("true sharing must not request repair: %+v", req)
 	}
-	if len(f.det.TrueLines) != 1 {
-		t.Errorf("true lines %d, want 1", len(f.det.TrueLines))
+	if len(f.det.History.TrueLines) != 1 {
+		t.Errorf("true lines %d, want 1", len(f.det.History.TrueLines))
 	}
 }
 
@@ -86,7 +87,7 @@ func TestReadOnlySharingIgnored(t *testing.T) {
 	if req := f.det.Tick(1.0); req != nil {
 		t.Error("read-only lines must not be classified")
 	}
-	if len(f.det.TrueLines)+len(f.det.FalseLines) != 0 {
+	if len(f.det.History.TrueLines)+len(f.det.History.FalseLines) != 0 {
 		t.Error("no sharing class for read-only lines")
 	}
 }
@@ -121,7 +122,7 @@ func TestThresholdGatesRepair(t *testing.T) {
 		t.Error("below-threshold false sharing must not trigger repair")
 	}
 	// Still recorded as false sharing for reporting.
-	if len(f.det.FalseLines) != 1 {
+	if len(f.det.History.FalseLines) != 1 {
 		t.Error("false sharing should still be classified")
 	}
 }
@@ -160,7 +161,7 @@ func TestSkidDoesNotFlipClassification(t *testing.T) {
 	if req == nil {
 		t.Fatal("false sharing expected despite skid")
 	}
-	if len(f.det.TrueLines) != 0 {
+	if len(f.det.History.TrueLines) != 0 {
 		t.Error("skid flipped the line to true sharing")
 	}
 }

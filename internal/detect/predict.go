@@ -17,31 +17,6 @@ import (
 //     deliver, from the observed false-sharing HITM rate and the machine's
 //     latency model.
 
-// archiveLine folds each analysis window's span data into a cumulative
-// per-line archive so predictions can run over the whole execution.
-func (d *Detector) archiveLine(line uint64, ls *lineStat) {
-	if d.archive == nil {
-		d.archive = make(map[uint64]*lineStat)
-	}
-	if len(d.archive) >= 4096 {
-		return
-	}
-	a := d.archive[line]
-	if a == nil {
-		a = &lineStat{}
-		d.archive[line] = a
-	}
-	a.records += ls.records
-	a.dropped += ls.dropped
-	for _, tid := range ls.tids {
-		for _, s := range ls.threads[tid] {
-			for i := 0; i < s.Count; i++ {
-				a.add(tid, s.Lo, s.Hi, s.Wrote)
-			}
-		}
-	}
-}
-
 // Prediction summarizes the expected sharing behavior at one line size.
 type Prediction struct {
 	LineSize   int
@@ -53,13 +28,13 @@ type Prediction struct {
 // coherence granularity were lineSize bytes (a power of two between 16 and
 // 512). Larger lines can pull neighbouring threads' private data into false
 // sharing; smaller lines can separate falsely-shared fields.
-func (d *Detector) PredictAtLineSize(lineSize int) Prediction {
+func (h *History) PredictAtLineSize(lineSize int) Prediction {
 	p := Prediction{LineSize: lineSize}
 	// Regroup: absolute byte spans -> hypothetical lines.
 	groups := make(map[uint64]*lineStat)
-	for lineAddr, ls := range d.archive {
-		for _, tid := range ls.tids {
-			for _, s := range ls.threads[tid] {
+	for lineAddr, ls := range h.archive {
+		for _, t := range ls.threads {
+			for _, s := range t.spans {
 				// Drop skid-noise spans (same tolerance as the live
 				// classifier): a span carrying under 5% of the line's
 				// samples is PEBS address imprecision, not an access site.
@@ -78,7 +53,7 @@ func (d *Detector) PredictAtLineSize(lineSize int) Prediction {
 					shi := int(min64(hi, addr+uint64(lineSize)) - addr)
 					g.records += s.Count
 					for i := 0; i < s.Count; i++ {
-						g.add(tid, slo, shi, s.Wrote)
+						g.add(t.tid, slo, shi, s.Wrote)
 					}
 				}
 			}
@@ -96,11 +71,11 @@ func (d *Detector) PredictAtLineSize(lineSize int) Prediction {
 }
 
 // PredictLineSizes runs the Predator-style sweep over common line sizes.
-func (d *Detector) PredictLineSizes() []Prediction {
+func (h *History) PredictLineSizes() []Prediction {
 	sizes := []int{16, 32, 64, 128, 256}
 	out := make([]Prediction, 0, len(sizes))
 	for _, s := range sizes {
-		out = append(out, d.PredictAtLineSize(s))
+		out = append(out, h.PredictAtLineSize(s))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LineSize < out[j].LineSize })
 	return out
@@ -114,14 +89,14 @@ func (d *Detector) PredictLineSizes() []Prediction {
 // The estimate is conservative in the same way Cheetah's is: it counts only
 // sampled-and-scaled events, so secondary effects (prefetching, shared-line
 // read amplification) are not credited.
-func (d *Detector) PredictManualSpeedup(period int, runtimeCycles int64, threads int) float64 {
+func (h *History) PredictManualSpeedup(period int, runtimeCycles int64, threads int) float64 {
 	if runtimeCycles <= 0 || threads <= 0 {
 		return 1
 	}
 	// Correct for PEBS store under-reporting: store-triggered records
 	// represent 1/StoreCaptureRate actual events each.
-	loads := float64(d.FalseRecords - d.FalseWriteRecords)
-	writes := float64(d.FalseWriteRecords) / pebs.StoreCaptureRate
+	loads := float64(h.FalseRecords - h.FalseWriteRecords)
+	writes := float64(h.FalseWriteRecords) / pebs.StoreCaptureRate
 	estEvents := (loads + writes) * float64(period)
 	savedPerCore := estEvents * float64(cache.LatHITM-cache.LatL1Hit) / float64(threads)
 	frac := savedPerCore / float64(runtimeCycles)

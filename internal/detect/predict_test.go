@@ -25,15 +25,15 @@ func TestPredictSmallerLinesSeparateFalseSharing(t *testing.T) {
 		0: {heapLo + 0x40},
 		1: {heapLo + 0x60},
 	}, 2000)
-	at64 := f.det.PredictAtLineSize(64)
+	at64 := f.det.History.PredictAtLineSize(64)
 	if at64.FalseLines != 1 {
 		t.Fatalf("at 64B: %+v, want 1 false line", at64)
 	}
-	at32 := f.det.PredictAtLineSize(32)
+	at32 := f.det.History.PredictAtLineSize(32)
 	if at32.FalseLines != 0 {
 		t.Errorf("at 32B the fields separate: %+v", at32)
 	}
-	at16 := f.det.PredictAtLineSize(16)
+	at16 := f.det.History.PredictAtLineSize(16)
 	if at16.FalseLines != 0 {
 		t.Errorf("at 16B the fields separate: %+v", at16)
 	}
@@ -47,11 +47,11 @@ func TestPredictLargerLinesCreateFalseSharing(t *testing.T) {
 		0: {heapLo + 0x100, heapLo + 0x108},
 		1: {heapLo + 0x140, heapLo + 0x148},
 	}, 1000)
-	at64 := f.det.PredictAtLineSize(64)
+	at64 := f.det.History.PredictAtLineSize(64)
 	if at64.FalseLines != 0 {
 		t.Errorf("at 64B the lines are private: %+v", at64)
 	}
-	at128 := f.det.PredictAtLineSize(128)
+	at128 := f.det.History.PredictAtLineSize(128)
 	if at128.FalseLines == 0 {
 		t.Errorf("at 128B adjacent-thread lines should falsely share: %+v", at128)
 	}
@@ -64,7 +64,7 @@ func TestPredictTrueSharingStaysTrue(t *testing.T) {
 		1: {heapLo + 0x80},
 	}, 1000)
 	for _, size := range []int{16, 64, 256} {
-		p := f.det.PredictAtLineSize(size)
+		p := f.det.History.PredictAtLineSize(size)
 		if p.TrueLines == 0 || p.FalseLines != 0 {
 			t.Errorf("overlapping writes stay true sharing at %dB: %+v", size, p)
 		}
@@ -77,7 +77,7 @@ func TestPredictLineSizesSweep(t *testing.T) {
 		0: {heapLo + 0x40},
 		1: {heapLo + 0x48},
 	}, 500)
-	sweep := f.det.PredictLineSizes()
+	sweep := f.det.History.PredictLineSizes()
 	if len(sweep) != 5 {
 		t.Fatalf("sweep has %d entries", len(sweep))
 	}
@@ -103,20 +103,20 @@ func TestPredictManualSpeedup(t *testing.T) {
 	// All records are stores, so the estimator scales them back up by the
 	// capture rate; size the runtime so the saved cycles are half of it,
 	// giving a ~2x prediction.
-	estEvents := float64(f.det.FalseRecords) / 0.4
+	estEvents := float64(f.det.History.FalseRecords) / 0.4
 	saved := estEvents * float64(cache.LatHITM-cache.LatL1Hit) / 2
 	runtime := int64(saved * 2)
-	got := f.det.PredictManualSpeedup(1, runtime, 2)
+	got := f.det.History.PredictManualSpeedup(1, runtime, 2)
 	if got < 1.8 || got > 2.2 {
 		t.Errorf("predicted %.2fx, want ~2x", got)
 	}
 	// No false sharing -> no predicted benefit.
 	clean := newFixture(t, 1, DefaultConfig())
-	if v := clean.det.PredictManualSpeedup(1, 1_000_000, 2); v != 1 {
+	if v := clean.det.History.PredictManualSpeedup(1, 1_000_000, 2); v != 1 {
 		t.Errorf("clean prediction %.2f, want 1.0", v)
 	}
 	// Saturation guard.
-	if v := f.det.PredictManualSpeedup(1000, 1000, 2); v > 101 {
+	if v := f.det.History.PredictManualSpeedup(1000, 1000, 2); v > 101 {
 		t.Errorf("prediction should saturate, got %f", v)
 	}
 }

@@ -12,6 +12,16 @@ func newLineStat() *lineStat {
 	return &lineStat{}
 }
 
+// spansOf returns tid's spans (nil if the thread never touched the line).
+func (ls *lineStat) spansOf(tid int) []span {
+	for _, t := range ls.threads {
+		if t.tid == tid {
+			return t.spans
+		}
+	}
+	return nil
+}
+
 // fill gives tid the maximum number of distinct single-byte spans.
 func fill(ls *lineStat, tid int, wrote bool) {
 	for i := 0; i < maxSpansPerThread; i++ {
@@ -93,12 +103,12 @@ func TestDetectorSurfacesDrops(t *testing.T) {
 	f.feed(0, f.st.PC(), line+50, true, 3)
 	f.feed(1, f.st.PC(), line+56, true, 40)
 	f.det.Tick(1.0)
-	if f.det.DroppedSpans == 0 {
+	if f.det.History.DroppedSpans == 0 {
 		t.Fatal("Detector.DroppedSpans = 0, want > 0")
 	}
-	rep, ok := f.det.Lines[line]
+	rep, ok := f.det.History.Lines[line]
 	if !ok {
-		t.Fatalf("line %#x not classified; lines: %+v", line, f.det.Lines)
+		t.Fatalf("line %#x not classified; lines: %+v", line, f.det.History.Lines)
 	}
 	if rep.DroppedSpans == 0 {
 		t.Error("LineReport.DroppedSpans = 0, want > 0")

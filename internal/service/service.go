@@ -16,7 +16,7 @@
 // Production shape: per-shard ingest queues are bounded with explicit
 // drop/backpressure accounting (saturated shards reject new streams with
 // 429 + Retry-After), idle tenant sessions are TTL-evicted to release their
-// interned-page state, SIGTERM drains the shards before exit, and /healthz
+// window state, SIGTERM drains the shards before exit, and /healthz
 // plus a Prometheus-text /metrics endpoint expose queue depths, ingest
 // rates, classification counts, advice latency and drop totals.
 //
@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/detect"
-	"repro/internal/sim/intern"
 	"repro/internal/toolio"
 )
 
@@ -62,7 +61,7 @@ type Config struct {
 	// for hostile or misconfigured producers.
 	MaxFrameBytes int
 	// SessionTTL evicts a tenant idle for this long, releasing its detector
-	// and interned-page state (default 60s).
+	// (default 60s).
 	SessionTTL time.Duration
 	// Detect configures every session's detector. Zero fields take
 	// detect.DefaultConfig values — the offline tools' operating point,
@@ -221,13 +220,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// session is one tenant's detection state: a detector over a private
-// interning table, plus the bookkeeping the adaptive-period feedback and
-// TTL eviction need. A session is owned by exactly one shard goroutine.
+// session is one tenant's detection state: a detector with no History, so
+// it holds one window's line table and nothing older, plus the bookkeeping
+// the adaptive-period feedback and TTL eviction need. A session is owned by
+// exactly one shard goroutine.
 type session struct {
 	tenant   string
 	pageSize int
-	tab      *intern.Table
 	det      *detect.Detector
 	lastSeen time.Time
 	seen     uint64 // detector records at the last tick
@@ -242,28 +241,24 @@ type session struct {
 }
 
 // newSession builds the per-tenant detector exactly the way the offline
-// replay does — same config, same interning — so the two stay in lockstep.
+// replay does — same config, no page table, no History — so the two stay
+// in lockstep.
 // It enforces the wire layer's page-size floor (toolio.CheckHello rejects
 // such hellos up front; this guards embedded users).
 func newSession(tenant string, pageSize int, dcfg detect.Config) (*session, error) {
 	if pageSize < toolio.MinWirePageSize || pageSize&(pageSize-1) != 0 {
 		return nil, fmt.Errorf("service: tenant %q page size %d is not a power of two >= %d", tenant, pageSize, toolio.MinWirePageSize)
 	}
-	tab := intern.NewTable(pageSize)
 	return &session{
 		tenant:   tenant,
 		pageSize: pageSize,
-		tab:      tab,
-		det:      detect.New(dcfg, nil, nil, nil, tab, pageSize),
+		det:      detect.New(dcfg, nil, nil, nil, nil, pageSize),
 	}, nil
 }
 
-// feed ingests one batch of resolved samples. Pages are interned on first
-// sight so the per-line window state lives on the detector's PageID fast
-// path rather than the fallback map.
+// feed ingests one batch of resolved samples into the open window.
 func (s *session) feed(samples []detect.Sample) {
 	for _, sm := range samples {
-		s.tab.Intern(sm.Addr)
 		s.det.Ingest(sm)
 	}
 	if s.capture {

@@ -347,7 +347,7 @@ func TestSessionTTLEviction(t *testing.T) {
 	}
 
 	info := srv.Inspect("ttl-1")
-	if !info.Exists || info.InternedPages == 0 || info.Records == 0 {
+	if !info.Exists || info.Records != uint64(len(log.Samples)) {
 		t.Fatalf("session missing after replay: %+v", info)
 	}
 	if got := srv.Metrics().sessionsActive.Load(); got != 1 {
@@ -355,7 +355,7 @@ func TestSessionTTLEviction(t *testing.T) {
 	}
 
 	// Idle past the TTL: the next shard pass evicts the session and its
-	// interned-page state.
+	// detector.
 	clk.advance(2 * time.Second)
 	if info := srv.Inspect("ttl-1"); info.Exists {
 		t.Fatalf("session survived the TTL: %+v", info)
@@ -368,8 +368,7 @@ func TestSessionTTLEviction(t *testing.T) {
 	}
 
 	// A late arrival starts a fresh session — same advice as a fresh
-	// offline replay, cumulative state fully released, and no panic from
-	// stale interned-page IDs.
+	// offline replay, with the evicted session's state fully released.
 	res2, err := cl.Replay(log, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -69,14 +69,11 @@ func (j *job) release() {
 
 // SessionInfo is a diagnostic snapshot of one tenant's session. Records
 // and Ticks are cumulative over the session's life: a migration carries
-// them as checkpoint counters, so they survive a move. InternedPages is
-// local state a migration does not carry: it counts the pages touched
-// since the session was created or installed on this node.
+// them as checkpoint counters, so they survive a move.
 type SessionInfo struct {
-	Exists        bool
-	Ticks         int
-	Records       uint64
-	InternedPages int
+	Exists  bool
+	Ticks   int
+	Records uint64
 }
 
 // shard is one detector worker: a bounded job queue consumed by a single
@@ -158,7 +155,7 @@ func (sh *shard) loop() {
 
 // session returns the tenant's session, creating it on first sight — which
 // is also what a record arriving after TTL eviction gets: a fresh session
-// with a fresh interning table, never a stale-generation panic.
+// with an empty window.
 func (sh *shard) session(tenant string, pageSize int, now time.Time) (*session, error) {
 	if s := sh.sessions[tenant]; s != nil {
 		return s, nil
@@ -227,10 +224,9 @@ func (sh *shard) maybeEvict(now time.Time) {
 	sh.lastScan = now
 	for tenant, s := range sh.sessions {
 		if now.Sub(s.lastSeen) >= ttl {
-			// Deleting the session releases the detector's PageID-indexed
-			// stat pages and the tenant's whole intern.Table in one step:
-			// nothing else holds a reference, so there is no stale-generation
-			// state to trip over if the tenant returns.
+			// Deleting the session releases its detector's window table in
+			// one step: nothing else holds a reference, and a returning
+			// tenant starts a fresh session.
 			delete(sh.sessions, tenant)
 			sh.srv.metrics.sessionsActive.Add(-1)
 			sh.srv.metrics.sessionsEvicted.Add(1)
@@ -243,12 +239,7 @@ func (sh *shard) inspectSession(tenant string) SessionInfo {
 	if s == nil {
 		return SessionInfo{}
 	}
-	return SessionInfo{
-		Exists:        true,
-		Ticks:         s.ticks,
-		Records:       s.det.TotalRecords,
-		InternedPages: s.tab.Len(),
-	}
+	return SessionInfo{Exists: true, Ticks: s.ticks, Records: s.det.TotalRecords}
 }
 
 // Inspect returns a coherent snapshot of a tenant's session by routing the

@@ -2,20 +2,20 @@
 // virtual page addresses the simulator is keyed on everywhere else.
 //
 // The per-access pipeline (machine → mem translation → cache coherence →
-// ptsb protection → detect aggregation) used to walk a map[uint64] at every
-// layer for every simulated access. Interning moves all of that hashing to
-// the cold path: a page is assigned a small dense PageID exactly once, when
-// it is mapped, and every hot structure downstream becomes a PageID-indexed
-// slice. Lookup on the access path is two array indexes through a two-level
-// radix table — no hashing, no allocation.
+// ptsb protection) used to walk a map[uint64] at every layer for every
+// simulated access. Interning moves all of that hashing to the cold path: a
+// page is assigned a small dense PageID exactly once, when it is mapped, and
+// every hot structure downstream becomes a PageID-indexed slice. Lookup on
+// the access path is two array indexes through a two-level radix table — no
+// hashing, no allocation.
 //
 // Pages also carry a generation counter. Consumers that cache per-page state
-// under a PageID (the PTSB's twins and protection bits, the detector's line
-// stats) snapshot the generation when they store and compare when they read:
+// under a PageID (the PTSB's twins, protection bits and page activity)
+// snapshot the generation when they store and compare when they read:
 // remapping or unmapping a page bumps the generation, which invalidates all
 // downstream state for that PageID in O(1) without enumerating the
-// consumers. This is the epoch-reset mechanism that lets hot state live in
-// flat slices while keeping remap semantics exact.
+// consumers. The detector reads generations the same way to drop a line's
+// spans when its page is remapped mid-window.
 package intern
 
 import "fmt"
@@ -32,19 +32,18 @@ const None PageID = -1
 // consecutive virtual pages, so the handful of simulated regions (globals,
 // heap, TMI state, libc, stacks) touch only a few leaves each. A leaf is
 // grown on demand, doubling from minLeaf entries, so it only spans the
-// highest index interned in it: a tmid session touching one page near a
-// leaf's base pays 64 bytes, not the 64 KiB a full leaf (4-byte entries)
-// would cost.
+// highest index interned in it: a region of a few pages near a leaf's base
+// pays 64 bytes, not the 64 KiB a full leaf (4-byte entries) would cost.
 const leafBits = 14
 
 // minLeaf is a leaf's first allocation, in entries.
 const minLeaf = 16
 
 // maxDenseLeaves caps the radix root. Pages whose leaf index falls past it
-// (4 KiB pages above 256 GiB, e.g. stack or kernel addresses in a wire
-// trace) are interned in a map instead: growing the root to reach them
-// would cost memory proportional to the address, and one sample near 2^64
-// would never finish allocating.
+// (4 KiB pages above 256 GiB, e.g. stack or kernel addresses) are interned
+// in a map instead: growing the root to reach them would cost memory
+// proportional to the address, and one page near 2^64 would never finish
+// allocating.
 const maxDenseLeaves = 1 << 12
 
 // Table interns virtual page base addresses. It is owned by one simulated
@@ -169,14 +168,6 @@ func (t *Table) Gen(id PageID) uint32 { return t.gens[id] }
 // cached per-page state for id (twins, protection bits, detector spans) in
 // O(1). Called on unmap/remap.
 func (t *Table) Invalidate(id PageID) { t.gens[id]++ }
-
-// LineIndex returns the dense index of the cache line containing addr
-// within the whole table: PageID * linesPerPage + line-in-page. It is only
-// meaningful for line sizes dividing the page size.
-func (t *Table) LineIndex(id PageID, addr uint64, lineSize int) int {
-	off := int(addr & (uint64(1)<<t.shift - 1))
-	return int(id)*(1<<t.shift/lineSize) + off/lineSize
-}
 
 // Grow extends a PageID-indexed slice so id is addressable, filling new
 // entries with the zero value. The doubling keeps amortized growth cost on

@@ -158,21 +158,6 @@ func TestInvalidateBumpsGeneration(t *testing.T) {
 	}
 }
 
-func TestLineIndex(t *testing.T) {
-	tab := NewTable(4096)
-	id0 := tab.Intern(0x1000_0000)
-	id1 := tab.Intern(0x1000_1000)
-	if got := tab.LineIndex(id0, 0x1000_0000, 64); got != 0 {
-		t.Errorf("first line of first page = %d", got)
-	}
-	if got := tab.LineIndex(id0, 0x1000_0fc0, 64); got != 63 {
-		t.Errorf("last line of first page = %d", got)
-	}
-	if got := tab.LineIndex(id1, 0x1000_1040, 64); got != 65 {
-		t.Errorf("second line of second page = %d", got)
-	}
-}
-
 func TestGrow(t *testing.T) {
 	var s []int
 	s = Grow(s, 0)
