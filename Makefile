@@ -14,9 +14,11 @@
 # race-built in-process cluster — tmirouter over migratable tmid nodes —
 # with one node killed and one added mid-run under a 16-client fleet:
 # zero lost sessions, advice byte-identical to the offline replay) and
-# fuzz (short runs of the migration-stream, sample-decoder and stream-framer
-# fuzzers: hostile input must be an error, never a panic, a corrupt restored
-# session or an out-of-range sample).
+# fuzz (short runs of the migration-stream, sample-decoder, stream-framer
+# and hello-reader fuzzers: hostile input must be an error, never a panic, a
+# corrupt restored session or an out-of-range sample) and perfbench (vet and
+# unit tests of the benchmark module, which `go build ./...` at the root
+# never compiles because it is a module of its own).
 # `make bench` persists one BENCH_<date>[.N].json
 # perf point per invocation so the trajectory across PRs stays
 # comparable; `make microbench` folds access-path microbenchmark stats
@@ -24,7 +26,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-harness bench microbench benchgate backends serve-smoke cluster-smoke allocgate fuzz vet vet-src lint tmilint mc suggest fmt ci check
+.PHONY: all build test race race-harness bench microbench benchgate backends serve-smoke cluster-smoke allocgate fuzz perfbench vet vet-src lint tmilint mc suggest fmt ci check
 
 all: check
 
@@ -138,18 +140,30 @@ allocgate:
 # window fails. It then fuzzes the two sample decoders tmid's streams go
 # through, NDJSON lines (DecodeWireMsg) and binary frames (BinReader): an
 # error is fine, a panic or an accepted sample or tick outside the wire
-# limits fails. Last it fuzzes the stream framer tmid and the router relay
+# limits fails. Then it fuzzes the stream framer tmid and the router relay
 # share (WireReader) over whole bodies in either encoding: its raw messages
 # must reassemble the input, every raw frame header must be valid, and
-# every decoded frame must be within the wire limits. The seeds include
+# every decoded frame must be within the wire limits. Last it fuzzes the
+# hello reader all three stream readers open with (ReadHello): an accepted
+# hello must pass CheckHello with a power-of-two page size in range, and
+# its raw bytes must be one '\n'-terminated line. The seeds include
 # ~1 MiB inputs of MaxWireBatch samples; capping minimization keeps the
 # time budget on fuzzing rather than on shrinking one large input. go test
-# fuzzes one target per run, hence four runs.
+# fuzzes one target per run, hence five runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadMigrationStream -fuzztime 10s -fuzzminimizetime 10x ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireMsg -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzBinReaderReadFrame -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzWireReader -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
+	$(GO) test -run '^$$' -fuzz FuzzReadHello -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
+
+# perfbench vets and unit-tests the benchmark module. It is a Go module of
+# its own (replace repro => ../), so the root `go build ./...` and
+# `go test ./...` never compile it: without this lane a change to the
+# exported service or cluster API that breaks the benchmark passes every
+# other one.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count 1 ./...
 
 vet:
 	$(GO) vet ./...
@@ -205,4 +219,4 @@ lint: fmt vet
 
 ci: build test vet vet-src lint
 
-check: ci race-harness allocgate fuzz mc suggest benchgate backends serve-smoke cluster-smoke
+check: ci race-harness allocgate fuzz perfbench mc suggest benchgate backends serve-smoke cluster-smoke

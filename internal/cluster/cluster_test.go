@@ -533,3 +533,28 @@ func TestRouterAnswersFramingErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestRouterHelloValidation: the router answers a bad first line itself,
+// 400 with a message naming the fault, as tmid does. Only a body that
+// ends before any byte is an "empty stream"; an oversized hello says so.
+func TestRouterHelloValidation(t *testing.T) {
+	lc := newLocal(t, 1, Config{ProbeInterval: -1})
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"empty", "", "empty stream"},
+		{"bad-json", "{not json}\n", "first line must be a hello"},
+		{"no-tenant", fmt.Sprintf(`{"k":"h","v":%d}`, toolio.SchemaVersion) + "\n", "tenant"},
+		{"oversized", `{"k":"h","tenant":"` + strings.Repeat("x", toolio.MaxWireLine) + "\"}\n", "exceeds"},
+	} {
+		resp, err := http.Post(lc.RouterURL+"/v1/stream", "application/x-ndjson", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: status %d body %q, want 400 mentioning %q", tc.name, resp.StatusCode, body, tc.want)
+		}
+	}
+}

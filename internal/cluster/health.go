@@ -48,7 +48,7 @@ func (rt *Router) probeOnce() {
 		timeout = time.Second
 	}
 	for _, u := range urls {
-		h, err := probeNode(rt.cfg.HTTP, u, timeout)
+		h, err := probeNode(u, timeout)
 		rt.mu.Lock()
 		m := rt.members[u]
 		if m == nil { // removed while probing
@@ -78,7 +78,7 @@ func (rt *Router) probeOnce() {
 // probeNode asks one node for its JSON health document. A draining node
 // (503) and a schema-incompatible node both count as probe failures: the
 // former must leave the ring, the latter must never join it.
-func probeNode(hc *http.Client, url string, timeout time.Duration) (service.NodeHealth, error) {
+func probeNode(url string, timeout time.Duration) (service.NodeHealth, error) {
 	var h service.NodeHealth
 	req, err := http.NewRequest(http.MethodGet, url+"/healthz", nil)
 	if err != nil {
@@ -87,7 +87,7 @@ func probeNode(hc *http.Client, url string, timeout time.Duration) (service.Node
 	req.Header.Set("Accept", "application/json")
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	resp, err := hc.Do(req.WithContext(ctx))
+	resp, err := http.DefaultClient.Do(req.WithContext(ctx))
 	if err != nil {
 		return h, err
 	}

@@ -107,7 +107,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	counter("tmirouter_streams_total", "Client streams admitted and relayed.", m.streamsTotal.Load())
 	gauge("tmirouter_streams_open", "Client streams currently relayed.", float64(m.streamsOpen.Load()))
-	counter("tmirouter_streams_failed_total", "Streams ended with a router-injected retryable error.", m.streamsFailed.Load())
+	counter("tmirouter_streams_failed_total", "Streams that ended in an error: framing and retryable errors the router injects, node errors it relays verbatim, and 502s for unreachable nodes.", m.streamsFailed.Load())
 	counter("tmirouter_messages_relayed_total", "Wire messages forwarded to owning nodes.", m.messagesRelayed.Load())
 	counter("tmirouter_ticks_relayed_total", "Tick/advice round trips relayed.", m.ticksRelayed.Load())
 	promtext.Header(w, "tmirouter_migrations_total", "counter", "Session migrations by outcome.")
@@ -142,7 +142,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if !n.Alive {
 			continue
 		}
-		lines, err := scrapeNode(rt.cfg.HTTP, n.URL)
+		lines, err := scrapeNode(n.URL)
 		if err != nil {
 			continue // the gap itself shows up as tmirouter_node_up
 		}
@@ -153,11 +153,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // scrapeNode fetches one node's /metrics and rewrites the whitelisted
 // series with a node label (tmid_queue_depth{shard="0"} becomes
 // tmid_queue_depth{node="...",shard="0"}).
-func scrapeNode(hc *http.Client, url string) ([]byte, error) {
+func scrapeNode(url string) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
-	resp, err := hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/service"
 	"repro/internal/toolio"
 )
 
@@ -35,10 +36,13 @@ import (
 // says — the cluster loses availability for one round trip, never
 // correctness.
 //
-// The relay frames the client's body with the same toolio reader tmid
-// uses (WireReader.NextRaw), which validates every binary frame header. A
-// framing error is the client's fault, so the relay answers it itself with
-// a non-retryable wire error, as the node would have.
+// The relay opens with the same handshake tmid runs: toolio.ReadHello,
+// service.Refuse for every early answer and service.OpenStream once a leg
+// is up. It frames the rest of the client's body with the same toolio
+// reader tmid uses (WireReader.NextRaw), which validates every binary
+// frame header. A framing error is the client's fault, so the relay
+// answers it itself with a non-retryable wire error, as the node would
+// have.
 
 // retryMsDefault is the backoff the relay suggests on retryable failures.
 const retryMsDefault = 1000
@@ -69,7 +73,7 @@ func (rt *Router) openLeg(node string, helloRaw []byte) (*leg, *http.Response, e
 	}
 	ch := make(chan doRes, 1)
 	go func() {
-		resp, err := rt.cfg.HTTP.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		ch <- doRes{resp, err}
 	}()
 	// The node reads the hello before answering, and the transport streams
@@ -77,7 +81,7 @@ func (rt *Router) openLeg(node string, helloRaw []byte) (*leg, *http.Response, e
 	// body closes it instead, which unblocks this write with an error.
 	go pw.Write(helloRaw)
 	var res doRes
-	timer := time.NewTimer(rt.cfg.HelloTimeout)
+	timer := time.NewTimer(helloTimeout)
 	select {
 	case res = <-ch:
 		timer.Stop()
@@ -87,7 +91,7 @@ func (rt *Router) openLeg(node string, helloRaw []byte) (*leg, *http.Response, e
 		// the error, while the relay sends nothing more until Do returns —
 		// a cycle only the body side can break. Closing the pipe fails the
 		// in-flight body copy, which lets Do return the transport error.
-		err := fmt.Errorf("node %s: no response to hello within %v", node, rt.cfg.HelloTimeout)
+		err := fmt.Errorf("node %s: no response to hello within %v", node, helloTimeout)
 		pw.CloseWithError(err)
 		res = <-ch
 		if res.err == nil {
@@ -129,7 +133,7 @@ func (rt *Router) closeLeg(l *leg) {
 func (rt *Router) MigrateTenant(src, dst, tenant string) (int, error) {
 	start := rt.cfg.now()
 	body, _ := json.Marshal(map[string]string{"tenant": tenant, "target": dst})
-	hc := &http.Client{Timeout: rt.cfg.MigrateTimeout}
+	hc := &http.Client{Timeout: migrateTimeout}
 	resp, err := hc.Post(src+"/v1/migrate", "application/json", bytes.NewReader(body))
 	if err != nil {
 		rt.metrics.migrationDone("failed", 0, rt.cfg.now().Sub(start))
@@ -164,40 +168,20 @@ func (rt *Router) MigrateTenant(src, dst, tenant string) (int, error) {
 // handleStream relays one client stream to its owning node, migrating the
 // session and switching legs when ownership moves mid-stream.
 func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
+	// Every early exit answers through service.Refuse, which drains the
+	// body, and every mid-stream exit drains it too: the handler must not
+	// return with unread request body (Refuse says why).
 	br := bufio.NewReaderSize(r.Body, 256<<10)
-	// Returning with unread request body arms net/http's post-handler
-	// discard, whose EOF can start a background read that races the
-	// server's next-request peek ("invalid concurrent Body.Read call"
-	// panic). Every early exit therefore answers the client first (flush,
-	// so it isn't left waiting on buffered headers) and then consumes the
-	// stream to EOF in-handler; the client closes promptly once it reads
-	// the verdict.
-	bail := func(msg string, code int) {
-		http.Error(w, msg, code)
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-		io.Copy(io.Discard, br)
-	}
-	helloRaw, err := toolio.ReadLine(br, nil, rt.cfg.MaxFrameBytes)
+	hello, helloRaw, err := toolio.ReadHello(br, toolio.MaxWireLine)
 	if err != nil {
-		http.Error(w, "tmirouter: empty stream (expected hello)", http.StatusBadRequest)
-		return
-	}
-	hello, err := toolio.DecodeWireMsg(helloRaw)
-	if err != nil {
-		bail("tmirouter: first line must be a hello", http.StatusBadRequest)
-		return
-	}
-	if err := toolio.CheckHello(hello); err != nil {
-		bail("tmirouter: "+err.Error(), http.StatusBadRequest)
+		service.Refuse(w, br, "tmirouter: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	tenant := hello.Tenant
 	genSeen := rt.gen.Load()
 	owner, ok := rt.pickOwner(tenant)
 	if !ok {
-		bail("tmirouter: no live nodes", http.StatusServiceUnavailable)
+		service.Refuse(w, br, "tmirouter: no live nodes", http.StatusServiceUnavailable)
 		return
 	}
 
@@ -211,12 +195,12 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Retry-After", ra)
 			}
 			body, _ := io.ReadAll(io.LimitReader(refusal.Body, 4096))
-			bail(string(bytes.TrimSpace(body)), refusal.StatusCode)
+			service.Refuse(w, br, string(bytes.TrimSpace(body)), refusal.StatusCode)
 			return
 		}
 		rt.reportNodeFailure(owner)
 		rt.metrics.streamsFailed.Add(1)
-		bail("tmirouter: node unreachable: "+err.Error(), http.StatusBadGateway)
+		service.Refuse(w, br, "tmirouter: node unreachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
 
@@ -224,25 +208,15 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.streamsOpen.Add(1)
 	defer rt.metrics.streamsOpen.Add(-1)
 
-	_ = http.NewResponseController(w).EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	flush()
-
+	flush := service.OpenStream(w)
 	failStream := func(msg string, retryMs int) {
 		rt.metrics.streamsFailed.Add(1)
 		w.Write(toolio.EncodeWire(toolio.WireError{K: toolio.WireErrorKind, Error: msg, RetryMs: retryMs}))
 		flush()
-		io.Copy(io.Discard, br) // see bail: never return with unread body
+		io.Copy(io.Discard, br)
 	}
 
-	rd := toolio.NewWireReader(br, hello.Wire, rt.cfg.MaxFrameBytes)
+	rd := toolio.NewWireReader(br, hello.Wire, toolio.MaxWireLine)
 	clean := true
 	var advBuf []byte
 	for {
@@ -290,7 +264,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		case toolio.WireSamplesKind[0]:
 			clean = false
 		case toolio.WireTickKind[0]:
-			advRaw, err := toolio.ReadLine(l.br, advBuf, rt.cfg.MaxFrameBytes)
+			advRaw, err := toolio.ReadLine(l.br, advBuf, toolio.MaxWireLine)
 			if err != nil {
 				rt.reportNodeFailure(l.node)
 				failStream("tmirouter: owning node lost awaiting advice; restart the stream", retryMsDefault)
@@ -305,7 +279,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 				// verbatim) carries the retry hint.
 				rt.metrics.streamsFailed.Add(1)
 				rt.closeLeg(l)
-				io.Copy(io.Discard, br) // see bail: never return with unread body
+				io.Copy(io.Discard, br)
 				return
 			}
 			rt.metrics.ticksRelayed.Add(1)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/service"
-	"repro/internal/toolio"
 )
 
 // Config tunes a Router. The zero value is usable apart from Nodes.
@@ -30,19 +29,21 @@ type Config struct {
 	// FailAfter is the consecutive probe failures that mark a node dead and
 	// pull it from the ring (default 3). One success re-admits it.
 	FailAfter int
-	// MaxFrameBytes bounds one relayed wire unit (default toolio.MaxWireLine).
-	MaxFrameBytes int
-	// MigrateTimeout bounds one source-side /v1/migrate call (default 30s).
-	MigrateTimeout time.Duration
-	// HelloTimeout bounds the hello-to-response-headers handshake when a
-	// leg opens (default 5s). The stream itself is unbounded; only node
-	// admission must answer promptly.
-	HelloTimeout time.Duration
-	// HTTP is the upstream transport (default a dedicated pooled client).
-	HTTP *http.Client
 
 	now func() time.Time
 }
+
+// The relay's fixed limits. Upstream requests go through
+// http.DefaultClient, and one relayed wire unit is capped at
+// toolio.MaxWireLine, tmid's own default.
+const (
+	// migrateTimeout bounds one source-side /v1/migrate call.
+	migrateTimeout = 30 * time.Second
+	// helloTimeout bounds the hello-to-response-headers handshake when a
+	// leg opens. The stream itself is unbounded; only node admission must
+	// answer promptly.
+	helloTimeout = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.VNodes <= 0 {
@@ -56,18 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = toolio.MaxWireLine
-	}
-	if c.MigrateTimeout <= 0 {
-		c.MigrateTimeout = 30 * time.Second
-	}
-	if c.HelloTimeout <= 0 {
-		c.HelloTimeout = 5 * time.Second
-	}
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{}
 	}
 	if c.now == nil {
 		c.now = time.Now

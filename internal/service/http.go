@@ -80,41 +80,14 @@ func unpackColumns(dst []detect.Sample, cols *toolio.SampleColumns) {
 // (shards × queue depth × batch size) no matter how many clients push.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	br := bufio.NewReaderSize(r.Body, 256<<10)
-	// Returning with unread request body arms net/http's post-handler
-	// discard, whose EOF can start a background read that races the
-	// server's next-request peek ("invalid concurrent Body.Read call"
-	// panic). Refusals therefore answer first (flushed, so the client
-	// isn't left waiting on buffered headers) and then consume the stream
-	// to EOF in-handler; the client closes once it reads the verdict.
-	bail := func(msg string, code int) {
-		http.Error(w, msg, code)
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-		io.Copy(io.Discard, br)
-	}
 	if s.draining.Load() {
-		bail("tmid: draining", http.StatusServiceUnavailable)
+		Refuse(w, br, "tmid: draining", http.StatusServiceUnavailable)
 		return
 	}
-
-	line, err := toolio.ReadLine(br, nil, s.cfg.MaxFrameBytes)
+	hello, _, err := toolio.ReadHello(br, s.cfg.MaxFrameBytes)
 	if err != nil {
-		http.Error(w, "tmid: empty stream (expected hello)", http.StatusBadRequest)
+		Refuse(w, br, "tmid: "+err.Error(), http.StatusBadRequest)
 		return
-	}
-	hello, err := toolio.DecodeWireMsg(line)
-	if err != nil {
-		bail("tmid: first line must be a hello", http.StatusBadRequest)
-		return
-	}
-	if err := toolio.CheckHello(hello); err != nil {
-		bail("tmid: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	pageSize := hello.PageSize
-	if pageSize == 0 {
-		pageSize = 4096
 	}
 	binary := hello.Wire == toolio.WireFormatBinary
 
@@ -122,7 +95,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if sh.saturated() {
 		s.metrics.rejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds()))
-		bail("tmid: shard saturated, retry later", http.StatusTooManyRequests)
+		Refuse(w, br, "tmid: shard saturated, retry later", http.StatusTooManyRequests)
 		return
 	}
 
@@ -135,24 +108,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.streamsOpen.Add(1)
 	defer s.metrics.streamsOpen.Add(-1)
 
-	// Advice lines interleave with request-body reads on one HTTP/1.1
-	// exchange; without full-duplex the server would fail body reads after
-	// the first write. (Best effort: HTTP/2 and test recorders don't need
-	// it.)
-	_ = http.NewResponseController(w).EnableFullDuplex()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// The client learns it was admitted from the (flushed) 200 header
-	// before its first tick round-trips.
-	flush()
-
+	flush := OpenStream(w)
 	fail := func(werr toolio.WireError) {
 		werr.K = toolio.WireErrorKind
 		w.Write(toolio.EncodeWire(werr))
@@ -161,7 +117,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	st := &stream{
 		tenant:   hello.Tenant,
-		pageSize: pageSize,
+		pageSize: hello.PageSize,
 		sh:       sh,
 		free:     make(chan []detect.Sample, recycleDepth),
 		reply:    make(chan toolio.WireAdvice, 1),
@@ -169,8 +125,45 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.runStream(w, toolio.NewWireReader(br, hello.Wire, s.cfg.MaxFrameBytes), binary, st, fail, flush)
 	// EOF ends the stream but not the session: the tenant may reconnect and
 	// continue until the TTL evicts it. A mid-stream abort (fail already
-	// flushed the wire error) still drains to EOF — see bail above.
+	// flushed the wire error) still drains to EOF, for the reason Refuse
+	// gives.
 	io.Copy(io.Discard, br)
+}
+
+// Refuse answers a stream request with an HTTP error and then drains its
+// body. Returning with unread request body arms net/http's post-handler
+// discard, whose EOF can start a background read that races the server's
+// next-request peek ("invalid concurrent Body.Read call" panic). A refusal
+// therefore answers first, flushed so the client is not left waiting on
+// buffered headers, and then consumes the body to EOF in-handler; the
+// client closes once it reads the verdict.
+func Refuse(w http.ResponseWriter, body io.Reader, msg string, code int) {
+	http.Error(w, msg, code)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+	io.Copy(io.Discard, body)
+}
+
+// OpenStream admits a stream request: it answers 200 with an NDJSON body
+// and flushes the header, so the client learns it was admitted before its
+// first tick round-trips, and returns the flush each advice line needs.
+// Advice lines interleave with request-body reads on one HTTP/1.1
+// exchange, and without full duplex the server would fail body reads
+// after the first write. (Best effort: HTTP/2 and test recorders don't
+// need it.)
+func OpenStream(w http.ResponseWriter) (flush func()) {
+	_ = http.NewResponseController(w).EnableFullDuplex()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	flush = func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	flush()
+	return flush
 }
 
 // runStream consumes the sample/tick messages after the hello, in either

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
+	"time"
 
 	"repro/internal/detect"
 	"repro/internal/toolio"
@@ -59,6 +60,15 @@ type migrateRequest struct {
 // checkpointKind tags the migration stream's checkpoint line.
 const checkpointKind = "checkpoint"
 
+const (
+	// maxMigrateRecords caps the open-window records one /v1/import
+	// accepts: an import is a trusted intra-cluster transfer, but the cap
+	// keeps a misrouted or runaway stream from ballooning a node.
+	maxMigrateRecords = 1 << 22
+	// migrateTimeout bounds one outbound /v1/migrate push.
+	migrateTimeout = 30 * time.Second
+)
+
 // migrateCheckpoint is the checkpoint line as decoded: pointer fields so a
 // missing counter is told apart from a zero one.
 type migrateCheckpoint struct {
@@ -108,15 +118,8 @@ func writeMigrationStream(w io.Writer, tenant string, snap snapshot) error {
 // and records must cover the open window: the restored session subtracts
 // the one from the other.
 func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant string, snap snapshot, err error) {
-	line, err := toolio.ReadLine(br, nil, maxFrame)
+	hello, line, err := toolio.ReadHello(br, maxFrame)
 	if err != nil {
-		return "", snapshot{}, fmt.Errorf("migration stream: missing hello")
-	}
-	hello, err := toolio.DecodeWireMsg(line)
-	if err != nil {
-		return "", snapshot{}, err
-	}
-	if err := toolio.CheckHello(hello); err != nil {
 		return "", snapshot{}, err
 	}
 	line, err = toolio.ReadLine(br, line, maxFrame)
@@ -136,9 +139,6 @@ func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant str
 		return "", snapshot{}, fmt.Errorf("migration stream: checkpoint counters must be non-negative")
 	}
 	snap = snapshot{pageSize: hello.PageSize, records: uint64(*cp.Records), windows: int(*cp.Windows)}
-	if snap.pageSize == 0 {
-		snap.pageSize = 4096
-	}
 	rd := toolio.NewBinReader(br)
 	rd.MaxPayload = maxFrame
 	for {
@@ -184,13 +184,25 @@ func rebuildSession(tenant string, snap snapshot, dcfg detect.Config) (*session,
 	return s, nil
 }
 
-// exportSnapshot fetches the tenant's snapshot through the owning shard.
-func (s *Server) exportSnapshot(tenant string) (exportState, bool) {
-	ch := make(chan exportState, 1)
-	if !s.enqueue(s.shardFor(tenant), job{tenant: tenant, export: ch}) {
-		return exportState{}, false
-	}
-	return <-ch, true
+// exportSnapshot snapshots the tenant's session on its owning shard: its
+// checkpoint counters and a copy of its open window, so the caller can
+// stream it out while the session keeps ingesting. snap is nil when no
+// capturing session is resident; ok is false when the shard did not run
+// the export (draining, or saturated past EnqueueWait).
+func (s *Server) exportSnapshot(tenant string) (snap *snapshot, ok bool) {
+	ok = s.onShard(tenant, func(sh *shard, _ time.Time) {
+		sess := sh.sessions[tenant]
+		if sess == nil || !sess.capture {
+			return
+		}
+		snap = &snapshot{
+			pageSize: sess.pageSize,
+			records:  sess.det.TotalRecords,
+			windows:  sess.ticks,
+			open:     append([]detect.Sample(nil), sess.open...),
+		}
+	})
+	return snap, ok
 }
 
 // handleExport streams one tenant's migratable snapshot.
@@ -204,17 +216,17 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tmid: export needs ?tenant=", http.StatusBadRequest)
 		return
 	}
-	st, ok := s.exportSnapshot(tenant)
+	snap, ok := s.exportSnapshot(tenant)
 	if !ok {
 		http.Error(w, "tmid: draining", http.StatusServiceUnavailable)
 		return
 	}
-	if !st.ok {
+	if snap == nil {
 		http.Error(w, "tmid: no session for tenant "+tenant, http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	writeMigrationStream(w, tenant, st.snap)
+	writeMigrationStream(w, tenant, *snap)
 }
 
 // handleImport rebuilds a session from a migration stream and installs it,
@@ -229,7 +241,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	br := bufio.NewReaderSize(r.Body, 256<<10)
-	tenant, snap, err := readMigrationStream(br, s.cfg.MaxFrameBytes, s.cfg.MaxMigrateRecords)
+	tenant, snap, err := readMigrationStream(br, s.cfg.MaxFrameBytes, maxMigrateRecords)
 	if err != nil {
 		s.metrics.migrateFailed.Add(1)
 		http.Error(w, "tmid: "+err.Error(), http.StatusBadRequest)
@@ -241,13 +253,22 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tmid: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	installed := make(chan struct{})
-	if !s.enqueue(s.shardFor(tenant), job{tenant: tenant, install: sess, installed: installed}) {
+	// The session was rebuilt off-shard and goes in in this one step, so a
+	// concurrently evicting or ingesting shard observes no session or a
+	// fully restored one, never a half-rebuilt state.
+	installed := s.onShard(tenant, func(sh *shard, now time.Time) {
+		sess.lastSeen = now
+		if sh.sessions[tenant] == nil {
+			s.metrics.sessionsActive.Add(1)
+		}
+		sh.sessions[tenant] = sess
+		s.metrics.migratedIn.Add(1)
+	})
+	if !installed {
 		s.metrics.migrateFailed.Add(1)
 		http.Error(w, "tmid: draining", http.StatusServiceUnavailable)
 		return
 	}
-	<-installed
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(migrateAck{Migrated: true, Tenant: tenant, Records: int(snap.records), Windows: snap.windows})
 }
@@ -279,16 +300,16 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tmid: migrate needs tenant and target", http.StatusBadRequest)
 		return
 	}
-	if _, err := url.Parse(req.Target); err != nil {
-		http.Error(w, "tmid: bad target: "+err.Error(), http.StatusBadRequest)
+	if u, err := url.Parse(req.Target); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		http.Error(w, fmt.Sprintf("tmid: migrate target %q is not an absolute http(s) URL", req.Target), http.StatusBadRequest)
 		return
 	}
-	st, ok := s.exportSnapshot(req.Tenant)
+	snap, ok := s.exportSnapshot(req.Tenant)
 	if !ok {
 		http.Error(w, "tmid: draining", http.StatusServiceUnavailable)
 		return
 	}
-	if !st.ok {
+	if snap == nil {
 		// Nothing to move is a clean no-op, not an error: the router calls
 		// this for tenants that may never have sent a sample.
 		w.Header().Set("Content-Type", "application/json")
@@ -296,7 +317,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ack, err := s.pushImport(req.Target, req.Tenant, st.snap)
+	ack, err := s.pushImport(req.Target, req.Tenant, *snap)
 	if err != nil {
 		s.metrics.migrateFailed.Add(1)
 		http.Error(w, "tmid: migrate push: "+err.Error(), http.StatusBadGateway)
@@ -304,10 +325,13 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Destination acked: cut this copy over. The removal runs on the owning
 	// shard, serialized against any straggling ingest for the tenant.
-	removed := make(chan bool, 1)
-	if s.enqueue(s.shardFor(req.Tenant), job{tenant: req.Tenant, remove: true, removed: removed}) {
-		<-removed
-	}
+	s.onShard(req.Tenant, func(sh *shard, _ time.Time) {
+		if sh.sessions[req.Tenant] != nil {
+			delete(sh.sessions, req.Tenant)
+			s.metrics.sessionsActive.Add(-1)
+			s.metrics.migratedOut.Add(1)
+		}
+	})
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(ack)
 }
@@ -328,7 +352,7 @@ func (s *Server) pushImport(target, tenant string, snap snapshot) (migrateAck, e
 		return migrateAck{}, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	hc := &http.Client{Timeout: s.cfg.MigrateTimeout}
+	hc := &http.Client{Timeout: migrateTimeout}
 	resp, err := hc.Do(req)
 	if err != nil {
 		return migrateAck{}, err

@@ -215,7 +215,7 @@ func TestMigrateAtEveryCut(t *testing.T) {
 	srvA, hsA := newTestServer(t, Config{Shards: 2, Migratable: true, NodeID: "a"})
 	_, hsB := newTestServer(t, Config{Shards: 2, Migratable: true, NodeID: "b"})
 	for name, log := range map[string]*trace.SampleLog{"synthetic": syntheticLog(), "varied": variedLog()} {
-		want, err := Replay(log, log.PageSize, srvA.cfg.Detect, srvA.cfg.Periods, 1)
+		want, err := Replay(log, log.PageSize, srvA.cfg.Detect, detect.DefaultPeriodController(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func TestImportTruncatedInstallsNothing(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated import status %d, want 400", resp.StatusCode)
 	}
-	if info := srv.Inspect("trunc-1"); info.Exists {
+	if info := inspect(srv, "trunc-1"); info.Exists {
 		t.Fatalf("truncated import installed a session: %+v", info)
 	}
 	if got := srv.Metrics().sessionsActive.Load(); got != 0 {
@@ -447,7 +447,7 @@ func TestEvictionRacingMigration(t *testing.T) {
 
 		streamSpan(t, hsA.URL, tenant, log, 0, pos(log, cut, 0))
 		// The session is now idle past its TTL: the next shard pass evicts
-		// it. Race that pass (triggered by Inspect) against the migration's
+		// it. Race that pass (triggered by inspect) against the migration's
 		// export job — shard-goroutine serialization means one of them wins
 		// outright.
 		clk.advance(2 * time.Second)
@@ -456,7 +456,7 @@ func TestEvictionRacingMigration(t *testing.T) {
 		var status int
 		wg.Add(2)
 		go func() { defer wg.Done(); ack, status = migrate(t, hsA.URL, tenant, hsB.URL) }()
-		go func() { defer wg.Done(); srvA.Inspect(tenant) }()
+		go func() { defer wg.Done(); inspect(srvA, tenant) }()
 		wg.Wait()
 
 		if status != http.StatusOK {
@@ -501,6 +501,27 @@ func TestMigrateWhileDraining(t *testing.T) {
 	srv.BeginDrain()
 	if _, status := migrate(t, hs.URL, "drain-1", "http://127.0.0.1:1"); status != http.StatusServiceUnavailable {
 		t.Fatalf("migrate while draining: status %d, want 503", status)
+	}
+}
+
+// TestMigrateRejectsBadTarget pins the target check: anything but an
+// absolute http(s) URL with a host is a 400 before the session is
+// exported, so it neither counts as a failed migration nor moves the
+// session.
+func TestMigrateRejectsBadTarget(t *testing.T) {
+	log := syntheticLog()
+	srv, hs := newTestServer(t, Config{Shards: 1, Migratable: true})
+	streamSpan(t, hs.URL, "target-1", log, 0, pos(log, 2, 0))
+	for _, target := range []string{"not a url", "ftp://x", "/relative", "http://", "://x"} {
+		if _, status := migrate(t, hs.URL, "target-1", target); status != http.StatusBadRequest {
+			t.Errorf("target %q: status %d, want 400", target, status)
+		}
+	}
+	if got := srv.Metrics().migrateFailed.Load(); got != 0 {
+		t.Errorf("migrateFailed = %d, want 0", got)
+	}
+	if info := inspect(srv, "target-1"); !info.Exists || info.Ticks != 2 {
+		t.Errorf("session after refused migrations: %+v, want resident with 2 ticks", info)
 	}
 }
 

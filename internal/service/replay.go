@@ -98,10 +98,8 @@ type Client struct {
 	// Wire selects the sample encoding: "" or toolio.WireFormatNDJSON for
 	// NDJSON quads, toolio.WireFormatBinary for columnar batch frames.
 	// The advice stream back is NDJSON either way, so parity comparisons
-	// are encoding-independent.
+	// are encoding-independent. Requests go through http.DefaultClient.
 	Wire string
-	// HTTP overrides the transport (0-timeout default client otherwise).
-	HTTP *http.Client
 }
 
 // ErrBusy reports a 429 admission rejection with the server's backoff.
@@ -138,11 +136,6 @@ func (c *Client) Replay(log *trace.SampleLog, repeat int) (*ReplayResult, error)
 	if batch <= 0 {
 		batch = DefaultBatchRecords
 	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = &http.Client{}
-	}
-
 	pr, pw := io.Pipe()
 	res := &ReplayResult{}
 	// The writer side runs concurrently with response reading: the server
@@ -225,7 +218,7 @@ func (c *Client) Replay(log *trace.SampleLog, repeat int) (*ReplayResult, error)
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("service: stream request: %w", err)
 	}

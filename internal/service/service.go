@@ -67,9 +67,6 @@ type Config struct {
 	// detect.DefaultConfig values — the offline tools' operating point,
 	// which offline/online parity depends on.
 	Detect detect.Config
-	// Periods is the adaptive sampling-period policy driving each advice
-	// message's NextPeriod feedback. Zero takes detect.DefaultPeriodController.
-	Periods detect.PeriodController
 	// RecommendBackend is the repair-backend recommendation policy stamped
 	// into advice that carries pages: "" or "none" (off — the wire field is
 	// omitted and advice bytes are schema-v1 identical), "auto" (per-advice
@@ -89,12 +86,6 @@ type Config struct {
 	// NodeID names this node in /healthz membership metadata (the cluster
 	// router's health probe doubles as discovery). Empty means "tmid".
 	NodeID string
-	// MaxMigrateRecords caps the open-window records one /v1/import accepts
-	// (default 1<<22): an import is a trusted intra-cluster transfer, but
-	// the cap keeps a misrouted or runaway stream from ballooning a node.
-	MaxMigrateRecords int
-	// MigrateTimeout bounds one outbound /v1/migrate push (default 30s).
-	MigrateTimeout time.Duration
 
 	// now is the clock seam (tests inject a fake for TTL eviction).
 	now func() time.Time
@@ -122,17 +113,8 @@ func (c Config) withDefaults() Config {
 	if c.Detect.MinRecords <= 0 {
 		c.Detect.MinRecords = detect.DefaultConfig().MinRecords
 	}
-	if c.Periods == (detect.PeriodController{}) {
-		c.Periods = detect.DefaultPeriodController()
-	}
 	if c.NodeID == "" {
 		c.NodeID = "tmid"
-	}
-	if c.MaxMigrateRecords <= 0 {
-		c.MaxMigrateRecords = 1 << 22
-	}
-	if c.MigrateTimeout <= 0 {
-		c.MigrateTimeout = 30 * time.Second
 	}
 	if c.now == nil {
 		c.now = time.Now

@@ -231,8 +231,8 @@ func TestSaturatedShardRejectsWith429(t *testing.T) {
 	// filling the bounded queue to capacity.
 	sh := srv.shards[0]
 	stall := make(chan struct{})
-	sh.jobs <- job{stall: stall}
-	sh.jobs <- job{stall: stall}
+	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
+	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
 	for len(sh.jobs) < 1 {
 		time.Sleep(time.Millisecond)
 	}
@@ -300,8 +300,8 @@ func TestMidStreamOverloadDropsBatchWithRetryableError(t *testing.T) {
 	stall := make(chan struct{})
 	defer close(stall)
 	sh := srv.shards[0]
-	sh.jobs <- job{stall: stall}
-	sh.jobs <- job{stall: stall}
+	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
+	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
 
 	batch := toolio.WireSamples{K: toolio.WireSamplesKind, S: [][4]uint64{{0, 0x10000, 8, 1}, {1, 0x10008, 8, 0}}}
 	if _, err := pw.Write(toolio.EncodeWire(batch)); err != nil {
@@ -328,6 +328,27 @@ func TestMidStreamOverloadDropsBatchWithRetryableError(t *testing.T) {
 	pw.Close()
 }
 
+// sessionInfo is a test's view of one tenant's session. Records and Ticks
+// are cumulative over the session's life: a migration carries them as
+// checkpoint counters, so they survive a move.
+type sessionInfo struct {
+	Exists  bool
+	Ticks   int
+	Records uint64
+}
+
+// inspect snapshots a tenant's session on its owning shard, so it never
+// races ingest. A shard that does not run the job (saturated past
+// EnqueueWait, or a drained server) reports the zero sessionInfo.
+func inspect(srv *Server, tenant string) (info sessionInfo) {
+	srv.onShard(tenant, func(sh *shard, _ time.Time) {
+		if s := sh.sessions[tenant]; s != nil {
+			info = sessionInfo{Exists: true, Ticks: s.ticks, Records: s.det.TotalRecords}
+		}
+	})
+	return info
+}
+
 func TestSessionTTLEviction(t *testing.T) {
 	log := syntheticLog()
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
@@ -346,7 +367,7 @@ func TestSessionTTLEviction(t *testing.T) {
 		t.Fatal("first replay lost parity")
 	}
 
-	info := srv.Inspect("ttl-1")
+	info := inspect(srv, "ttl-1")
 	if !info.Exists || info.Records != uint64(len(log.Samples)) {
 		t.Fatalf("session missing after replay: %+v", info)
 	}
@@ -357,7 +378,7 @@ func TestSessionTTLEviction(t *testing.T) {
 	// Idle past the TTL: the next shard pass evicts the session and its
 	// detector.
 	clk.advance(2 * time.Second)
-	if info := srv.Inspect("ttl-1"); info.Exists {
+	if info := inspect(srv, "ttl-1"); info.Exists {
 		t.Fatalf("session survived the TTL: %+v", info)
 	}
 	if got := srv.Metrics().sessionsEvicted.Load(); got != 1 {
@@ -376,7 +397,7 @@ func TestSessionTTLEviction(t *testing.T) {
 	if !bytes.Equal(res2.Advice, want) {
 		t.Errorf("post-eviction replay diverged from a fresh session:\ngot:  %s\nwant: %s", res2.Advice, want)
 	}
-	info = srv.Inspect("ttl-1")
+	info = inspect(srv, "ttl-1")
 	if !info.Exists || info.Ticks != len(log.Windows) {
 		t.Errorf("fresh session state after eviction: %+v", info)
 	}
@@ -427,24 +448,31 @@ func TestMetricsExposition(t *testing.T) {
 	_ = srv
 }
 
+// TestHelloValidation pins the answer to every bad first line: 400 with a
+// message naming the fault. Only a body that ends before any byte is an
+// "empty stream"; an oversized hello says so.
 func TestHelloValidation(t *testing.T) {
 	_, hs := newTestServer(t, Config{Shards: 1})
+	_, small := newTestServer(t, Config{Shards: 1, MaxFrameBytes: 1024})
 	for _, tc := range []struct {
-		name, body string
+		name, url, body, want string
 	}{
-		{"empty", ""},
-		{"not-hello", `{"k":"t","seq":0}` + "\n"},
-		{"future-version", `{"k":"h","v":99,"tenant":"x"}` + "\n"},
-		{"no-tenant", fmt.Sprintf(`{"k":"h","v":%d}`, toolio.SchemaVersion) + "\n"},
-		{"bad-page-size", fmt.Sprintf(`{"k":"h","v":%d,"tenant":"x","page_size":1000}`, toolio.SchemaVersion) + "\n"},
+		{"empty", hs.URL, "", "empty stream"},
+		{"bad-json", hs.URL, "{not json}\n", "first line must be a hello"},
+		{"not-hello", hs.URL, `{"k":"t","seq":0}` + "\n", "first line must be a hello"},
+		{"future-version", hs.URL, `{"k":"h","v":99,"tenant":"x"}` + "\n", "version"},
+		{"no-tenant", hs.URL, fmt.Sprintf(`{"k":"h","v":%d}`, toolio.SchemaVersion) + "\n", "tenant"},
+		{"bad-page-size", hs.URL, fmt.Sprintf(`{"k":"h","v":%d,"tenant":"x","page_size":1000}`, toolio.SchemaVersion) + "\n", "page size"},
+		{"oversized", small.URL, fmt.Sprintf(`{"k":"h","v":%d,"tenant":"%s"}`, toolio.SchemaVersion, strings.Repeat("x", 4<<10)) + "\n", "exceeds"},
 	} {
-		resp, err := http.Post(hs.URL+"/v1/stream", "application/x-ndjson", strings.NewReader(tc.body))
+		resp, err := http.Post(tc.url+"/v1/stream", "application/x-ndjson", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: status %d body %q, want 400 mentioning %q", tc.name, resp.StatusCode, body, tc.want)
 		}
 	}
 }
@@ -476,11 +504,11 @@ func TestDrainLifecycle(t *testing.T) {
 
 	srv.Drain()
 	// After the queues close, enqueue refuses instead of panicking, and
-	// Inspect reports nothing.
+	// inspect reports nothing.
 	if ok := srv.enqueue(srv.shards[0], job{tenant: "x"}); ok {
 		t.Error("enqueue succeeded on a drained server")
 	}
-	if info := srv.Inspect("late-1"); info.Exists {
+	if info := inspect(srv, "late-1"); info.Exists {
 		t.Errorf("drained server reported a session: %+v", info)
 	}
 	srv.Drain() // idempotent

@@ -7,8 +7,9 @@ import (
 	"repro/internal/toolio"
 )
 
-// job is one unit of shard work. Exactly one of samples / tick / inspect /
-// stall is meaningful; the zero fields are ignored.
+// job is one unit of shard work: a batch of samples for the tenant's open
+// window, a tick that closes it, or a control closure (run) that needs the
+// shard's exclusive ownership of its sessions. The zero fields are ignored.
 type job struct {
 	tenant   string
 	pageSize int
@@ -22,36 +23,13 @@ type job struct {
 	// (buffered 1, never blocks the shard).
 	tick  *toolio.WireTick
 	reply chan toolio.WireAdvice
-	// inspect asks for a session snapshot (diagnostics and white-box
-	// tests); the reply lands on info.
-	inspect bool
-	info    chan SessionInfo
-	// export asks for a migration snapshot of the tenant's session; the
-	// reply lands on export.
-	export chan exportState
-	// install atomically inserts a fully rebuilt session (an import's
-	// output) under the tenant key, replacing any resident one; the ack
-	// lands on installed.
-	install   *session
-	installed chan struct{}
-	// remove deletes the tenant's session (migration source cutover); the
-	// ack reports whether a session was actually resident.
-	remove  bool
-	removed chan bool
-	// stall blocks the shard loop until the channel closes (tests use it to
-	// saturate a queue deterministically).
-	stall chan struct{}
+	// run executes on the shard goroutine (see Server.onShard); done, when
+	// set, is closed once it returns.
+	run  func(sh *shard, now time.Time)
+	done chan struct{}
 	// enqueued timestamps admission for the advice-latency histogram, which
 	// therefore measures queue wait.
 	enqueued time.Time
-}
-
-// exportState is one session's migratable snapshot, taken on the owning
-// shard goroutine so it can never tear against concurrent ingest. The open
-// window is a copy, safe to stream after the job returns.
-type exportState struct {
-	ok   bool
-	snap snapshot
 }
 
 // release returns a consumed sample buffer to its stream's free list. The
@@ -65,15 +43,6 @@ func (j *job) release() {
 	case j.recycle <- j.samples[:0]:
 	default:
 	}
-}
-
-// SessionInfo is a diagnostic snapshot of one tenant's session. Records
-// and Ticks are cumulative over the session's life: a migration carries
-// them as checkpoint counters, so they survive a move.
-type SessionInfo struct {
-	Exists  bool
-	Ticks   int
-	Records uint64
 }
 
 // shard is one detector worker: a bounded job queue consumed by a single
@@ -114,17 +83,11 @@ func (sh *shard) loop() {
 		now := sh.srv.cfg.now()
 		sh.maybeEvict(now)
 		switch {
-		case j.stall != nil:
-			<-j.stall
-		case j.inspect:
-			j.info <- sh.inspectSession(j.tenant)
-		case j.export != nil:
-			j.export <- sh.exportSession(j.tenant)
-		case j.install != nil:
-			sh.installSession(j.install, now)
-			close(j.installed)
-		case j.remove:
-			j.removed <- sh.removeSession(j.tenant)
+		case j.run != nil:
+			j.run(sh, now)
+			if j.done != nil {
+				close(j.done)
+			}
 		case j.samples != nil:
 			s, err := sh.session(j.tenant, j.pageSize, now)
 			if err != nil {
@@ -144,7 +107,7 @@ func (sh *shard) loop() {
 			}
 			s.lastSeen = now
 			start := sh.srv.cfg.now()
-			adv := s.advise(*j.tick, sh.srv.cfg.Periods, sh.srv.cfg.RecommendBackend)
+			adv := s.advise(*j.tick, detect.DefaultPeriodController(), sh.srv.cfg.RecommendBackend)
 			analyzed := sh.srv.cfg.now().Sub(start)
 			m.ticks.Add(1)
 			m.observeAdvice(adv, now.Sub(j.enqueued), analyzed)
@@ -171,49 +134,6 @@ func (sh *shard) session(tenant string, pageSize int, now time.Time) (*session, 
 	return s, nil
 }
 
-// exportSession snapshots the tenant's session: its checkpoint counters
-// and a copy of its open window. Running on the shard goroutine, it
-// observes every ingested batch applied and none half-applied; the copy
-// means the HTTP handler can stream it out while the session keeps
-// ingesting.
-func (sh *shard) exportSession(tenant string) exportState {
-	s := sh.sessions[tenant]
-	if s == nil || !s.capture {
-		return exportState{}
-	}
-	return exportState{ok: true, snap: snapshot{
-		pageSize: s.pageSize,
-		records:  s.det.TotalRecords,
-		windows:  s.ticks,
-		open:     append([]detect.Sample(nil), s.open...),
-	}}
-}
-
-// installSession inserts a rebuilt session under its tenant key. Import
-// rebuilds the session off-shard and installs it in this single step, so a
-// concurrently evicting or ingesting shard can only ever observe no session
-// or a fully restored one — never a half-rebuilt state.
-func (sh *shard) installSession(s *session, now time.Time) {
-	s.lastSeen = now
-	if sh.sessions[s.tenant] == nil {
-		sh.srv.metrics.sessionsActive.Add(1)
-	}
-	sh.sessions[s.tenant] = s
-	sh.srv.metrics.migratedIn.Add(1)
-}
-
-// removeSession deletes the tenant's session (the migration source's
-// cutover step: the destination has acked, this copy is now stale).
-func (sh *shard) removeSession(tenant string) bool {
-	if sh.sessions[tenant] == nil {
-		return false
-	}
-	delete(sh.sessions, tenant)
-	sh.srv.metrics.sessionsActive.Add(-1)
-	sh.srv.metrics.migratedOut.Add(1)
-	return true
-}
-
 // maybeEvict drops sessions idle past the TTL. The scan itself runs at most
 // every TTL/4 so a busy shard is not walking its session map per batch.
 func (sh *shard) maybeEvict(now time.Time) {
@@ -234,26 +154,19 @@ func (sh *shard) maybeEvict(now time.Time) {
 	}
 }
 
-func (sh *shard) inspectSession(tenant string) SessionInfo {
-	s := sh.sessions[tenant]
-	if s == nil {
-		return SessionInfo{}
-	}
-	return SessionInfo{Exists: true, Ticks: s.ticks, Records: s.det.TotalRecords}
-}
-
-// Inspect returns a coherent snapshot of a tenant's session by routing the
-// query through the owning shard's queue (so it can never race ingest). It
-// takes the same bounded-wait enqueue path as ingest: against a saturated
-// or stalled shard the query gives up after EnqueueWait and reports the
-// zero SessionInfo instead of blocking forever on the full queue (which,
+// onShard runs fn on the tenant's shard goroutine and waits for it to
+// return: fn sees every ingested batch applied and none half-applied, and
+// may read or replace the shard's sessions. It takes the same bounded-wait
+// enqueue as ingest, so against a saturated or stalled shard it gives up
+// after EnqueueWait instead of blocking forever on the full queue (which,
 // performed under the gate's read lock as it once was, deadlocked against
-// a concurrent drain's write lock). A drained server likewise reports the
-// zero SessionInfo.
-func (s *Server) Inspect(tenant string) SessionInfo {
-	info := make(chan SessionInfo, 1)
-	if !s.enqueue(s.shardFor(tenant), job{tenant: tenant, inspect: true, info: info}) {
-		return SessionInfo{}
+// a concurrent drain's write lock). false means fn did not run: the shard
+// stayed saturated or the server is draining.
+func (s *Server) onShard(tenant string, fn func(sh *shard, now time.Time)) bool {
+	done := make(chan struct{})
+	if !s.enqueue(s.shardFor(tenant), job{tenant: tenant, run: fn, done: done}) {
+		return false
 	}
-	return <-info
+	<-done
+	return true
 }

@@ -216,24 +216,25 @@ func TestHostileTickIntervalAnswersWireError(t *testing.T) {
 	}
 }
 
-// TestInspectSaturatedShardReturnsZero pins the Inspect deadlock fix: a
-// full queue on a stalled shard plus a concurrent Drain used to deadlock
-// (Inspect blocked on the queue send while holding the gate's read lock,
-// Drain blocked on the write lock). Inspect must now give up after the
-// bounded enqueue wait and report the zero SessionInfo.
+// TestInspectSaturatedShardReturnsZero pins the onShard deadlock fix, the
+// path export, install and remove take too: a full queue on a stalled
+// shard plus a concurrent Drain used to deadlock (the shard job's send
+// blocked on the queue while holding the gate's read lock, Drain blocked
+// on the write lock). onShard must now give up after the bounded enqueue
+// wait without running the job, so inspect reports the zero sessionInfo.
 func TestInspectSaturatedShardReturnsZero(t *testing.T) {
 	srv := New(Config{Shards: 1, QueueDepth: 1, EnqueueWait: 30 * time.Millisecond})
 
 	stall := make(chan struct{})
 	sh := srv.shards[0]
-	sh.jobs <- job{stall: stall}
-	sh.jobs <- job{stall: stall}
+	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
+	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
 	for len(sh.jobs) < 1 {
 		time.Sleep(time.Millisecond)
 	}
 
-	inspected := make(chan SessionInfo, 1)
-	go func() { inspected <- srv.Inspect("wedged-tenant") }()
+	inspected := make(chan sessionInfo, 1)
+	go func() { inspected <- inspect(srv, "wedged-tenant") }()
 
 	drained := make(chan struct{})
 	go func() {
@@ -247,7 +248,7 @@ func TestInspectSaturatedShardReturnsZero(t *testing.T) {
 			t.Errorf("saturated shard reported a session: %+v", info)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Inspect deadlocked against the saturated shard + concurrent drain")
+		t.Fatal("inspect deadlocked against the saturated shard + concurrent drain")
 	}
 
 	close(stall)
@@ -269,8 +270,8 @@ func TestDrainClosesPromptlyUnderSaturatedEnqueues(t *testing.T) {
 
 	stall := make(chan struct{})
 	sh := srv.shards[0]
-	sh.jobs <- job{stall: stall}
-	sh.jobs <- job{stall: stall}
+	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
+	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
 	for len(sh.jobs) < 1 {
 		time.Sleep(time.Millisecond)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math"
 	"testing"
@@ -200,6 +201,52 @@ func FuzzWireReader(f *testing.F) {
 				return
 			}
 			checkFrame(t, fr)
+		}
+	})
+}
+
+// FuzzReadHello mutates a stream's first bytes into the hello reader that
+// tmid, its migration importer and the router relay all open with. Any
+// input may be rejected, but only with an error, and an accepted hello
+// passes CheckHello with a power-of-two page size in range, while its raw
+// bytes are one '\n'-terminated line the input starts with.
+func FuzzReadHello(f *testing.F) {
+	for _, tc := range checkHelloCases {
+		line, err := json.Marshal(tc.m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append(line, '\n'))
+	}
+	for _, wire := range []string{"", WireFormatNDJSON, WireFormatBinary} {
+		hello := EncodeWire(WireHello{K: WireHelloKind, Version: SchemaVersion, Tenant: "fuzz", PageSize: 1 << 21, Wire: wire})
+		f.Add(hello)
+		f.Add(bytes.TrimSuffix(hello, []byte("\n")))
+		f.Add(append(hello, EncodeWire(WireTick{K: WireTickKind, Seq: 1, IntervalSec: 0.1, Period: 100})...))
+	}
+	f.Add([]byte(`{"k":"h","v":1,"tenant":"t","page_size":-4096}` + "\n"))
+	f.Add([]byte("\n"))
+	f.Add([]byte(`{`))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		hello, raw, err := ReadHello(bufio.NewReader(bytes.NewReader(in)), 1<<12)
+		if err != nil {
+			if hello != nil || raw != nil {
+				t.Fatalf("error %v came with a hello", err)
+			}
+			return
+		}
+		if err := CheckHello(hello); err != nil {
+			t.Fatalf("accepted hello fails CheckHello: %v", err)
+		}
+		if ps := hello.PageSize; ps < MinWirePageSize || ps > MaxWirePageSize || ps&(ps-1) != 0 {
+			t.Fatalf("accepted page size %d", ps)
+		}
+		if len(raw) == 0 || raw[len(raw)-1] != '\n' || bytes.IndexByte(raw, '\n') != len(raw)-1 {
+			t.Fatalf("raw hello %q is not one newline-terminated line", raw)
+		}
+		if !bytes.HasPrefix(append(in[:len(in):len(in)], '\n'), raw) {
+			t.Fatalf("raw hello %q is not where the input %q starts", raw, in)
 		}
 	})
 }

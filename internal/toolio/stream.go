@@ -11,9 +11,35 @@ import (
 
 // This file frames a request body for every reader of a wire stream: the
 // tmid stream handler, its migration importer and the router's relay.
-// ReadLine frames NDJSON lines (the hello, the checkpoint, advice lines),
-// and WireReader frames the sample/tick messages after the hello in the
-// encoding the hello negotiated, decoded (Next) or raw (NextRaw).
+// ReadHello reads and checks the hello all three open with, ReadLine
+// frames NDJSON lines (the checkpoint, advice lines), and WireReader
+// frames the sample/tick messages after the hello in the encoding the
+// hello negotiated, decoded (Next) or raw (NextRaw).
+
+// ReadHello reads a stream's first line and returns it decoded and
+// checked (CheckHello), with a zero page size defaulted to 4096, plus the
+// line's raw bytes with their '\n' for a relay to forward. An input that
+// ends before any byte gets the "empty stream" error; every other failure,
+// an oversized line included, is reported as itself.
+func ReadHello(br *bufio.Reader, maxLen int) (hello *WireMsg, raw []byte, err error) {
+	raw, err = ReadLine(br, nil, maxLen)
+	if errors.Is(err, io.EOF) {
+		return nil, nil, errors.New("toolio: empty stream (expected hello)")
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if hello, err = DecodeWireMsg(raw); err != nil {
+		return nil, nil, fmt.Errorf("toolio: first line must be a hello: %w", err)
+	}
+	if err := CheckHello(hello); err != nil {
+		return nil, nil, err
+	}
+	if hello.PageSize == 0 {
+		hello.PageSize = 4096
+	}
+	return hello, raw, nil
+}
 
 // ReadLine reads one NDJSON line into buf (reused across calls) and
 // returns it with its '\n', appending one to a final unterminated line. It

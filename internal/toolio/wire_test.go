@@ -1,6 +1,7 @@
 package toolio
 
 import (
+	"bufio"
 	"bytes"
 	"strings"
 	"testing"
@@ -108,6 +109,36 @@ func TestHelloVersionHandling(t *testing.T) {
 	// Futures are rejected, not misread.
 	if err := check(`{"k":"h","v":99,"tenant":"time-traveler"}`); err == nil {
 		t.Error("accepted a hello with a future schema version")
+	}
+}
+
+// TestReadHello pins the hello reader's answers: the "empty stream" error
+// is for an input that ends before any byte, an oversized or malformed
+// first line reports itself, a valid hello comes back with its raw line
+// and a defaulted page size, and the reader stops at the hello's '\n'.
+func TestReadHello(t *testing.T) {
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"empty", "", "empty stream"},
+		{"oversized", `{"k":"h","tenant":"` + strings.Repeat("x", 64) + `"}` + "\n", "exceeds"},
+		{"bad-json", "{not json}\n", "first line must be a hello"},
+		{"not-hello", `{"k":"t","seq":0}` + "\n", "first line must be a hello"},
+		{"no-tenant", `{"k":"h","v":1}` + "\n", "tenant"},
+	} {
+		hello, raw, err := ReadHello(bufio.NewReader(strings.NewReader(tc.in)), 64)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || hello != nil || raw != nil {
+			t.Errorf("%s: hello %v raw %q error %v, want an error mentioning %q", tc.name, hello, raw, err, tc.want)
+		}
+	}
+	line := `{"k":"h","v":1,"tenant":"t1"}` + "\n"
+	br := bufio.NewReader(strings.NewReader(line + "rest"))
+	hello, raw, err := ReadHello(br, 0)
+	if err != nil || hello.Tenant != "t1" || hello.PageSize != 4096 || string(raw) != line {
+		t.Fatalf("ReadHello = %+v, %q, %v; want tenant t1, page size 4096, raw %q", hello, raw, err, line)
+	}
+	if rest, _ := br.ReadString(0); rest != "rest" {
+		t.Errorf("ReadHello consumed past the hello: %q left", rest)
 	}
 }
 

@@ -231,30 +231,35 @@ func TestNDJSONDecodeEdgeCases(t *testing.T) {
 	}
 }
 
+// helloMsg is a valid hello with mut applied.
+func helloMsg(mut func(m *WireMsg)) *WireMsg {
+	m := &WireMsg{K: WireHelloKind, Version: SchemaVersion, Tenant: "t1", PageSize: 4096}
+	mut(m)
+	return m
+}
+
+// checkHelloCases are CheckHello's table; FuzzReadHello seeds from it too.
+var checkHelloCases = []struct {
+	name string
+	m    *WireMsg
+	want string // "" means valid
+}{
+	{"ok", helloMsg(func(m *WireMsg) {}), ""},
+	{"ok-default-page", helloMsg(func(m *WireMsg) { m.PageSize = 0 }), ""},
+	{"ok-binary", helloMsg(func(m *WireMsg) { m.Wire = WireFormatBinary }), ""},
+	{"ok-ndjson", helloMsg(func(m *WireMsg) { m.Wire = WireFormatNDJSON }), ""},
+	{"not-hello", helloMsg(func(m *WireMsg) { m.K = WireTickKind }), "hello"},
+	{"future-version", helloMsg(func(m *WireMsg) { m.Version = 99 }), "version"},
+	{"no-tenant", helloMsg(func(m *WireMsg) { m.Tenant = "" }), "tenant"},
+	{"page-size-one", helloMsg(func(m *WireMsg) { m.PageSize = 1 }), "page size"},
+	{"page-size-64", helloMsg(func(m *WireMsg) { m.PageSize = 64 }), "page size"},
+	{"page-size-not-pow2", helloMsg(func(m *WireMsg) { m.PageSize = 1000 }), "page size"},
+	{"page-size-huge", helloMsg(func(m *WireMsg) { m.PageSize = MaxWirePageSize * 2 }), "page size"},
+	{"unknown-wire", helloMsg(func(m *WireMsg) { m.Wire = "protobuf" }), "wire format"},
+}
+
 func TestCheckHello(t *testing.T) {
-	hello := func(mut func(m *WireMsg)) *WireMsg {
-		m := &WireMsg{K: WireHelloKind, Version: SchemaVersion, Tenant: "t1", PageSize: 4096}
-		mut(m)
-		return m
-	}
-	for _, tc := range []struct {
-		name string
-		m    *WireMsg
-		want string // "" means valid
-	}{
-		{"ok", hello(func(m *WireMsg) {}), ""},
-		{"ok-default-page", hello(func(m *WireMsg) { m.PageSize = 0 }), ""},
-		{"ok-binary", hello(func(m *WireMsg) { m.Wire = WireFormatBinary }), ""},
-		{"ok-ndjson", hello(func(m *WireMsg) { m.Wire = WireFormatNDJSON }), ""},
-		{"not-hello", hello(func(m *WireMsg) { m.K = WireTickKind }), "hello"},
-		{"future-version", hello(func(m *WireMsg) { m.Version = 99 }), "version"},
-		{"no-tenant", hello(func(m *WireMsg) { m.Tenant = "" }), "tenant"},
-		{"page-size-one", hello(func(m *WireMsg) { m.PageSize = 1 }), "page size"},
-		{"page-size-64", hello(func(m *WireMsg) { m.PageSize = 64 }), "page size"},
-		{"page-size-not-pow2", hello(func(m *WireMsg) { m.PageSize = 1000 }), "page size"},
-		{"page-size-huge", hello(func(m *WireMsg) { m.PageSize = MaxWirePageSize * 2 }), "page size"},
-		{"unknown-wire", hello(func(m *WireMsg) { m.Wire = "protobuf" }), "wire format"},
-	} {
+	for _, tc := range checkHelloCases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := CheckHello(tc.m)
 			if tc.want == "" {
