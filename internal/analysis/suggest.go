@@ -316,9 +316,11 @@ func traceRaces(trace []TraceEvent, threads int) []racePair {
 	addrVC := map[uint64]aclock{}
 	relFence := make([]aclock, threads)
 	pendAcq := make([]aclock, threads)
+	// reads is indexed by TID so a write visits its readers in thread
+	// order: the first report per PC pair wins.
 	type byteSt struct {
 		w     *traceEpoch
-		reads map[int]*traceEpoch
+		reads []*traceEpoch
 	}
 	bytes := map[uint64]*byteSt{}
 	seen := map[[2]uint64]bool{}
@@ -363,7 +365,7 @@ func traceRaces(trace []TraceEvent, threads int) []racePair {
 		for b := ev.Addr; b < ev.Addr+uint64(ev.Width); b++ {
 			st := bytes[b]
 			if st == nil {
-				st = &byteSt{reads: map[int]*traceEpoch{}}
+				st = &byteSt{reads: make([]*traceEpoch, threads)}
 				bytes[b] = st
 			}
 			check := func(prev *traceEpoch) {
@@ -385,7 +387,9 @@ func traceRaces(trace []TraceEvent, threads int) []racePair {
 			}
 			if ev.Write {
 				for _, r := range st.reads {
-					check(r)
+					if r != nil {
+						check(r)
+					}
 				}
 				st.w = ep
 			} else {

@@ -47,9 +47,12 @@ type accEpoch struct {
 	write bool
 }
 
+// byteState is one byte's last write and each thread's last read. reads is
+// indexed by TID so a write visits its readers in thread order: the first
+// report per PC pair wins, and map order would make it vary run to run.
 type byteState struct {
 	w     *accEpoch
-	reads map[int]*accEpoch
+	reads []*accEpoch
 }
 
 type raceDetector struct {
@@ -114,7 +117,7 @@ func (d *raceDetector) onAccess(info *core.AccessInfo, syncish, acq, rel bool) {
 	for b := info.Addr; b < info.Addr+uint64(info.Size); b++ {
 		st := d.bytes[b]
 		if st == nil {
-			st = &byteState{reads: make(map[int]*accEpoch)}
+			st = &byteState{reads: make([]*accEpoch, d.n)}
 			d.bytes[b] = st
 		}
 		if w := st.w; w != nil && w.tid != t && !(w.sync && syncish) && !d.ordered(w, t) {
@@ -122,7 +125,7 @@ func (d *raceDetector) onAccess(info *core.AccessInfo, syncish, acq, rel bool) {
 		}
 		if info.Write {
 			for _, r := range st.reads {
-				if r.tid != t && !(r.sync && syncish) && !d.ordered(r, t) {
+				if r != nil && r.tid != t && !(r.sync && syncish) && !d.ordered(r, t) {
 					d.report(r, ep, b)
 				}
 			}

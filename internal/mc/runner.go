@@ -334,6 +334,15 @@ func (r *runner) OnWake(waker, wakee int) {
 	}
 }
 
+// races returns the race detector's reports for this run (nil when race
+// detection is off).
+func (r *runner) races() []RaceReport {
+	if r.det == nil {
+		return nil
+	}
+	return r.det.races
+}
+
 func sortedUnits(m map[uint64]bool) []uint64 {
 	out := make([]uint64, 0, len(m))
 	for u := range m {
@@ -407,12 +416,8 @@ func newExplorer(f Factory, opts Options, m mode) (*explorer, error) {
 	}, nil
 }
 
-// runOnce executes one schedule: the forced prefix, then the mode's policy.
-func (e *explorer) runOnce(forced []int, nodes []*node, m mode, rng *rand.Rand) (*runResult, error) {
-	w, err := e.factory()
-	if err != nil {
-		return nil, err
-	}
+// newRunner prepares the scheduler/observer for one execution.
+func newRunner(e *explorer, forced []int, nodes []*node, m mode, rng *rand.Rand) *runner {
 	r := &runner{
 		ex: e, mode: m, forced: forced, nodes: nodes, rng: rng,
 		asmDepth: make([]int, e.threads),
@@ -422,6 +427,16 @@ func (e *explorer) runOnce(forced []int, nodes []*node, m mode, rng *rand.Rand) 
 	if e.opts.Race {
 		r.det = newRaceDetector(e.threads)
 	}
+	return r
+}
+
+// runOnce executes one schedule: the forced prefix, then the mode's policy.
+func (e *explorer) runOnce(forced []int, nodes []*node, m mode, rng *rand.Rand) (*runResult, error) {
+	w, err := e.factory()
+	if err != nil {
+		return nil, err
+	}
+	r := newRunner(e, forced, nodes, m, rng)
 	cfg := core.Config{
 		Setup:        e.opts.Setup,
 		ForceProtect: e.opts.ForceProtect,
@@ -438,10 +453,7 @@ func (e *explorer) runOnce(forced []int, nodes []*node, m mode, rng *rand.Rand) 
 	}
 	rep, err := core.Run(w, cfg)
 	r.closeDecision()
-	rr := &runResult{decisions: r.decisions}
-	if r.det != nil {
-		rr.races = r.det.races
-	}
+	rr := &runResult{decisions: r.decisions, races: r.races()}
 	if err != nil {
 		if errors.Is(err, machine.ErrScheduleAbandoned) {
 			if r.errRun != nil {
