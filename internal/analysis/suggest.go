@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/hb"
 	"repro/tmi/workload"
 )
 
@@ -287,132 +288,31 @@ func siteOrPC(e TraceEvent) string {
 	return fmt.Sprintf("pc:0x%x", e.PC)
 }
 
-type aclock []uint32
-
-func (v aclock) join(o aclock) {
-	for i, x := range o {
-		if x > v[i] {
-			v[i] = x
-		}
-	}
-}
-
-type traceEpoch struct {
-	ev  TraceEvent
-	clk uint32
-}
-
-// traceRaces runs the same per-ordering vector-clock happens-before the
-// model checker's detector uses (internal/mc) over the abstract trace. The
-// round-robin interleaving is just one schedule, but detection is
-// value-independent: two accesses race iff they are unordered by the hb the
-// orderings induce, which the single deterministic trace exposes.
+// traceRaces walks the abstract trace into the happens-before race detector
+// the model checker also runs (internal/hb). The round-robin interleaving is
+// just one schedule, but detection is value-independent: two accesses race
+// iff they are unordered by the hb the orderings induce, which the single
+// deterministic trace exposes.
 func traceRaces(trace []TraceEvent, threads int) []racePair {
-	vc := make([]aclock, threads)
-	for i := range vc {
-		vc[i] = make(aclock, threads)
-		vc[i][i] = 1
-	}
-	addrVC := map[uint64]aclock{}
-	relFence := make([]aclock, threads)
-	pendAcq := make([]aclock, threads)
-	// reads is indexed by TID so a write visits its readers in thread
-	// order: the first report per PC pair wins.
-	type byteSt struct {
-		w     *traceEpoch
-		reads []*traceEpoch
-	}
-	bytes := map[uint64]*byteSt{}
-	seen := map[[2]uint64]bool{}
-	var races []racePair
-
-	ordered := func(e *traceEpoch, t int) bool { return e.clk <= vc[t][e.ev.TID] }
-
-	for _, ev := range trace {
-		t := ev.TID
+	d := hb.New[int](threads) // Meta is the event's trace index
+	for i := range trace {
+		ev := &trace[i]
 		switch ev.Op {
 		case OpWake:
-			vc[ev.Other].join(vc[t])
-			vc[t][t]++
-			continue
+			d.Wake(ev.TID, ev.Other)
 		case OpFence:
-			if ev.Order.Acquires() && pendAcq[t] != nil {
-				vc[t].join(pendAcq[t])
-				pendAcq[t] = nil
-			}
-			if ev.Order.Releases() {
-				cp := make(aclock, threads)
-				cp.join(vc[t])
-				relFence[t] = cp
-			}
-			vc[t][t]++
-			continue
+			d.Fence(ev.TID, ev.Order.Acquires(), ev.Order.Releases())
+		default:
+			d.Access(hb.Access[int]{
+				TID: ev.TID, PC: ev.PC, Addr: ev.Addr, Size: ev.Width, Write: ev.Write,
+				Sync: ev.Op == OpRuntime || ev.Op == OpAtomic || ev.Asm,
+				Acq:  ev.Acquires(), Rel: ev.Releases(), Meta: i,
+			})
 		}
-		syncish := ev.Op == OpRuntime || ev.Op == OpAtomic || ev.Asm
-		acq, rel := ev.Acquires(), ev.Releases()
-		if syncish {
-			if l := addrVC[ev.Addr]; l != nil {
-				if acq {
-					vc[t].join(l)
-				}
-				if pendAcq[t] == nil {
-					pendAcq[t] = make(aclock, threads)
-				}
-				pendAcq[t].join(l)
-			}
-		}
-		ep := &traceEpoch{ev: ev, clk: vc[t][t]}
-		for b := ev.Addr; b < ev.Addr+uint64(ev.Width); b++ {
-			st := bytes[b]
-			if st == nil {
-				st = &byteSt{reads: make([]*traceEpoch, threads)}
-				bytes[b] = st
-			}
-			check := func(prev *traceEpoch) {
-				prevSync := prev.ev.Op != OpPlain || prev.ev.Asm
-				if prev.ev.TID == t || (prevSync && syncish) || ordered(prev, t) {
-					return
-				}
-				key := [2]uint64{prev.ev.PC, ev.PC}
-				if key[0] > key[1] {
-					key[0], key[1] = key[1], key[0]
-				}
-				if !seen[key] {
-					seen[key] = true
-					races = append(races, racePair{a: prev.ev, b: ev})
-				}
-			}
-			if st.w != nil {
-				check(st.w)
-			}
-			if ev.Write {
-				for _, r := range st.reads {
-					if r != nil {
-						check(r)
-					}
-				}
-				st.w = ep
-			} else {
-				st.reads[t] = ep
-			}
-		}
-		if syncish {
-			if ev.Write {
-				switch {
-				case rel:
-					cp := make(aclock, threads)
-					cp.join(vc[t])
-					addrVC[ev.Addr] = cp
-				case relFence[t] != nil:
-					cp := make(aclock, threads)
-					cp.join(relFence[t])
-					addrVC[ev.Addr] = cp
-				default:
-					delete(addrVC, ev.Addr)
-				}
-			}
-			vc[t][t]++
-		}
+	}
+	var races []racePair
+	for _, r := range d.Races() {
+		races = append(races, racePair{a: trace[r.Prev.Meta], b: trace[r.Cur.Meta]})
 	}
 	return races
 }

@@ -5,16 +5,7 @@ package mc
 // points are seeded only where the last trace showed a reversible conflict —
 // or (modeBrute) no reduction at all, for cross-validation on tiny kernels.
 
-// vclock is a per-thread vector clock over decision ordinals.
-type vclock []uint32
-
-func (v vclock) join(o vclock) {
-	for i, x := range o {
-		if x > v[i] {
-			v[i] = x
-		}
-	}
-}
+import "repro/internal/hb"
 
 // addBacktracks analyzes one completed (possibly partial) trace: it computes
 // the happens-before order over decisions — program order, conflict order
@@ -29,11 +20,11 @@ func (v vclock) join(o vclock) {
 // rule — extra backtrack points cost redundant (mostly sleep-blocked) runs,
 // never soundness.
 func addBacktracks(decisions []decision, nodes []*node, nthreads int) {
-	clocks := make([]vclock, len(decisions))
+	clocks := make([]hb.Clock, len(decisions)) // per-thread clocks over decision ordinals
 	ordinal := make([]int, len(decisions))
 	lastOf := make([]int, nthreads)
 	cnt := make([]int, nthreads)
-	wakeVC := make([]vclock, nthreads)
+	wakeVC := make([]hb.Clock, nthreads)
 	for i := range lastOf {
 		lastOf[i] = -1
 	}
@@ -57,17 +48,17 @@ func addBacktracks(decisions []decision, nodes []*node, nthreads int) {
 				}
 			}
 		}
-		vc := make(vclock, nthreads)
+		vc := make(hb.Clock, nthreads)
 		if p >= 0 {
-			vc.join(clocks[p])
+			vc.Join(clocks[p])
 		}
 		if wakeVC[d.tid] != nil {
-			vc.join(wakeVC[d.tid])
+			vc.Join(wakeVC[d.tid])
 			wakeVC[d.tid] = nil
 		}
 		for j := 0; j < i; j++ {
 			if decisions[j].tid != d.tid && conflicts(decisions[j].sigs, d.sigs) {
-				vc.join(clocks[j])
+				vc.Join(clocks[j])
 			}
 		}
 		cnt[d.tid]++
@@ -77,9 +68,9 @@ func addBacktracks(decisions []decision, nodes []*node, nthreads int) {
 		lastOf[d.tid] = i
 		for _, wakee := range d.wakes {
 			if wakeVC[wakee] == nil {
-				wakeVC[wakee] = make(vclock, nthreads)
+				wakeVC[wakee] = make(hb.Clock, nthreads)
 			}
-			wakeVC[wakee].join(vc)
+			wakeVC[wakee].Join(vc)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/hb"
 	"repro/internal/sim/machine"
 	"repro/tmi/workload"
 )
@@ -109,7 +110,7 @@ type runner struct {
 	asmDepth  []int
 	ordStack  [][]machine.RegionKind // per-thread atomic-region nesting
 	dirty     []map[uint64]bool      // per-thread pages plain-written since last flush
-	det       *raceDetector
+	det       *hb.Detector[string]   // race detector; Meta is the access's site
 
 	abandoned bool
 	errRun    error
@@ -261,7 +262,10 @@ func (r *runner) OnAccess(info *core.AccessInfo) {
 			k := r.topKind(info.TID)
 			acq, rel = k.Acquires(), k.Releases()
 		}
-		r.det.onAccess(info, syncish, acq, rel)
+		r.det.Access(hb.Access[string]{
+			TID: info.TID, PC: info.PC, Addr: info.Addr, Size: info.Size, Write: info.Write,
+			Sync: syncish, Acq: acq, Rel: rel, Meta: info.Site,
+		})
 	}
 }
 
@@ -287,7 +291,7 @@ func (r *runner) OnRegion(tid int, k machine.RegionKind, enter bool) {
 		if enter {
 			r.commitDirty(tid)
 			if r.det != nil {
-				r.det.onFence(tid, k.Acquires(), k.Releases())
+				r.det.Fence(tid, k.Acquires(), k.Releases())
 			}
 		}
 	case k.IsAtomic():
@@ -321,7 +325,7 @@ func (r *runner) commitDirty(tid int) {
 func (r *runner) OnSync(tid int) {
 	r.commitDirty(tid)
 	if r.det != nil {
-		r.det.onSync(tid)
+		r.det.Sync(tid)
 	}
 }
 
@@ -330,7 +334,7 @@ func (r *runner) OnWake(waker, wakee int) {
 		r.cur.wakes = append(r.cur.wakes, wakee)
 	}
 	if r.det != nil {
-		r.det.onWake(waker, wakee)
+		r.det.Wake(waker, wakee)
 	}
 }
 
@@ -340,7 +344,18 @@ func (r *runner) races() []RaceReport {
 	if r.det == nil {
 		return nil
 	}
-	return r.det.races
+	var out []RaceReport
+	for _, rc := range r.det.Races() {
+		p, c := rc.Prev, rc.Cur
+		out = append(out, RaceReport{
+			Site1: p.Meta, Site2: c.Meta,
+			PC1: p.PC, PC2: c.PC,
+			TID1: p.TID, TID2: c.TID,
+			Write1: p.Write, Write2: c.Write,
+			Addr: rc.Addr,
+		})
+	}
+	return out
 }
 
 func sortedUnits(m map[uint64]bool) []uint64 {
@@ -425,7 +440,7 @@ func newRunner(e *explorer, forced []int, nodes []*node, m mode, rng *rand.Rand)
 		dirty:    make([]map[uint64]bool, e.threads),
 	}
 	if e.opts.Race {
-		r.det = newRaceDetector(e.threads)
+		r.det = hb.New[string](e.threads)
 	}
 	return r
 }
