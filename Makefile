@@ -14,9 +14,10 @@
 # race-built in-process cluster — tmirouter over migratable tmid nodes —
 # with one node killed and one added mid-run under a 16-client fleet:
 # zero lost sessions, advice byte-identical to the offline replay) and
-# fuzz (short runs of the migration-stream, sample-decoder, stream-framer
-# and hello-reader fuzzers: hostile input must be an error, never a panic, a
-# corrupt restored session or an out-of-range sample) and perfbench (vet and
+# fuzz (short runs of the migration-stream, sample-decoder, stream-framer,
+# hello-reader and router-reload fuzzers: hostile input must be an error,
+# never a panic, a corrupt restored session, an out-of-range sample or a
+# ring member that is not a node URL) and perfbench (vet and
 # unit tests of the benchmark module, which `go build ./...` at the root
 # never compiles because it is a module of its own).
 # `make bench` persists one BENCH_<date>[.N].json
@@ -143,19 +144,23 @@ allocgate:
 # limits fails. Then it fuzzes the stream framer tmid and the router relay
 # share (WireReader) over whole bodies in either encoding: its raw messages
 # must reassemble the input, every raw frame header must be valid, and
-# every decoded frame must be within the wire limits. Last it fuzzes the
+# every decoded frame must be within the wire limits. Then it fuzzes the
 # hello reader all three stream readers open with (ReadHello): an accepted
 # hello must pass CheckHello with a power-of-two page size in range, and
-# its raw bytes must be one '\n'-terminated line. The seeds include
-# ~1 MiB inputs of MaxWireBatch samples; capping minimization keeps the
-# time budget on fuzzing rather than on shrinking one large input. go test
-# fuzzes one target per run, hence five runs.
+# its raw bytes must be one '\n'-terminated line. Last it fuzzes the
+# router's /admin/reload body (FuzzRouterReload): a rejected list must
+# change nothing, and after an accepted one every ring member must be an
+# absolute http(s) URL with a host. The seeds include ~1 MiB inputs of
+# MaxWireBatch samples; capping minimization keeps the time budget on
+# fuzzing rather than on shrinking one large input. go test fuzzes one
+# target per run, hence six runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadMigrationStream -fuzztime 10s -fuzzminimizetime 10x ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireMsg -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzBinReaderReadFrame -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzWireReader -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzReadHello -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
+	$(GO) test -run '^$$' -fuzz FuzzRouterReload -fuzztime 10s -fuzzminimizetime 10x ./internal/cluster
 
 # perfbench vets and unit-tests the benchmark module. It is a Go module of
 # its own (replace repro => ../), so the root `go build ./...` and

@@ -17,6 +17,11 @@
 // (router counters + whitelisted per-node aggregation), GET /admin/ring,
 // POST /admin/{add,remove,drain}?node=URL, POST /admin/reload (JSON node
 // list). SIGINT/SIGTERM exit after closing the listener.
+//
+// Every node URL must be an absolute http(s) URL with a host: a bad one in
+// -nodes or -nodes-file exits 2 at start-up, a bad one on SIGHUP keeps the
+// old membership, and /admin/add, /admin/drain and /admin/reload answer 400
+// and change nothing.
 package main
 
 import (
@@ -84,6 +89,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tmirouter: need -nodes or -nodes-file")
 		os.Exit(2)
 	}
+	if err := cluster.CheckNodes(nodes); err != nil {
+		fmt.Fprintln(os.Stderr, "tmirouter: node", err)
+		os.Exit(2)
+	}
 
 	rt := cluster.New(cluster.Config{
 		Nodes: nodes, VNodes: *vnodes, BoundFactor: *bound,
@@ -124,7 +133,10 @@ func main() {
 					fmt.Fprintln(os.Stderr, "tmirouter: reload:", err)
 					continue
 				}
-				rt.SetNodes(fresh)
+				if err := rt.SetNodes(fresh); err != nil {
+					fmt.Fprintln(os.Stderr, "tmirouter: reload: node", err, "(membership unchanged)")
+					continue
+				}
 				fmt.Printf("tmirouter: reloaded %d nodes (gen %d)\n", len(fresh), rt.Generation())
 				continue
 			}

@@ -139,7 +139,7 @@ func (lc *Local) Drain(i int) string {
 	lc.mu.Lock()
 	node := lc.nodes[i]
 	lc.mu.Unlock()
-	lc.Router.DrainNode(node.url)
+	_ = lc.Router.DrainNode(node.url) // cannot fail: node.url is http://host:port
 	return node.url
 }
 

@@ -139,23 +139,47 @@ func (rt *Router) rebuildLocked() {
 	rt.gen.Add(1)
 }
 
-// AddNode admits a node (idempotent) and rebuilds the ring.
-func (rt *Router) AddNode(url string) {
+// memberURL is a node URL's member key: the URL without a trailing slash,
+// which must be an absolute http(s) URL with a host.
+func memberURL(url string) (string, error) {
 	url = strings.TrimSuffix(url, "/")
+	return url, service.CheckNodeURL(url)
+}
+
+// CheckNodes returns an error naming the first of urls that cannot be a
+// ring member.
+func CheckNodes(urls []string) error {
+	for _, u := range urls {
+		if _, err := memberURL(u); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AddNode admits a node (idempotent) and rebuilds the ring. A URL that
+// cannot name a node is an error and changes nothing.
+func (rt *Router) AddNode(url string) error {
+	url, err := memberURL(url)
+	if err != nil {
+		return err
+	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if m := rt.members[url]; m != nil {
 		if m.alive && !m.draining {
-			return
+			return nil
 		}
 		m.alive, m.draining, m.fails = true, false, 0
 	} else {
 		rt.members[url] = &member{url: url, alive: true}
 	}
 	rt.rebuildLocked()
+	return nil
 }
 
-// RemoveNode forgets a node entirely and rebuilds the ring.
+// RemoveNode forgets a node entirely and rebuilds the ring. It takes any
+// string, so a member that should never have been admitted can still go.
 func (rt *Router) RemoveNode(url string) {
 	url = strings.TrimSuffix(url, "/")
 	rt.mu.Lock()
@@ -169,25 +193,33 @@ func (rt *Router) RemoveNode(url string) {
 
 // DrainNode keeps a node as a migration source but stops placing tenants
 // on it: its live streams migrate away at their next clean boundary.
-func (rt *Router) DrainNode(url string) {
-	url = strings.TrimSuffix(url, "/")
+func (rt *Router) DrainNode(url string) error {
+	url, err := memberURL(url)
+	if err != nil {
+		return err
+	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	m := rt.members[url]
 	if m == nil || m.draining {
-		return
+		return nil
 	}
 	m.draining = true
 	rt.rebuildLocked()
+	return nil
 }
 
 // SetNodes replaces the whole member list (the runtime config-reload
 // path): new nodes are admitted, missing ones forgotten, drain flags on
-// survivors kept.
-func (rt *Router) SetNodes(urls []string) {
+// survivors kept. If any URL cannot name a node, nothing is applied.
+func (rt *Router) SetNodes(urls []string) error {
 	want := map[string]bool{}
 	for _, u := range urls {
-		want[strings.TrimSuffix(u, "/")] = true
+		u, err := memberURL(u)
+		if err != nil {
+			return err
+		}
+		want[u] = true
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -207,6 +239,7 @@ func (rt *Router) SetNodes(urls []string) {
 	if changed {
 		rt.rebuildLocked()
 	}
+	return nil
 }
 
 // pickOwner places a tenant on the current ring under bounded load.
@@ -274,20 +307,26 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	mux.HandleFunc("GET /admin/ring", rt.handleRing)
 	mux.HandleFunc("POST /admin/add", rt.handleAdmin((*Router).AddNode))
-	mux.HandleFunc("POST /admin/remove", rt.handleAdmin((*Router).RemoveNode))
+	mux.HandleFunc("POST /admin/remove", rt.handleAdmin(func(rt *Router, url string) error {
+		rt.RemoveNode(url)
+		return nil
+	}))
 	mux.HandleFunc("POST /admin/drain", rt.handleAdmin((*Router).DrainNode))
 	mux.HandleFunc("POST /admin/reload", rt.handleReload)
 	return mux
 }
 
-func (rt *Router) handleAdmin(op func(*Router, string)) http.HandlerFunc {
+func (rt *Router) handleAdmin(op func(*Router, string) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		node := r.URL.Query().Get("node")
 		if node == "" {
 			http.Error(w, "tmirouter: need ?node=", http.StatusBadRequest)
 			return
 		}
-		op(rt, node)
+		if err := op(rt, node); err != nil {
+			http.Error(w, "tmirouter: bad node: "+err.Error(), http.StatusBadRequest)
+			return
+		}
 		fmt.Fprintf(w, "ok gen=%d\n", rt.gen.Load())
 	}
 }
@@ -300,7 +339,10 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tmirouter: bad node list: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	rt.SetNodes(nodes)
+	if err := rt.SetNodes(nodes); err != nil {
+		http.Error(w, "tmirouter: bad node list: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	fmt.Fprintf(w, "ok gen=%d nodes=%d\n", rt.gen.Load(), len(nodes))
 }
 

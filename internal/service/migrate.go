@@ -273,6 +273,16 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(migrateAck{Migrated: true, Tenant: tenant, Records: int(snap.records), Windows: snap.windows})
 }
 
+// CheckNodeURL reports whether u can name a tmid node: an absolute http(s)
+// URL with a host. A migrate target and every router ring member must pass
+// it.
+func CheckNodeURL(u string) error {
+	if p, err := url.Parse(u); err != nil || (p.Scheme != "http" && p.Scheme != "https") || p.Host == "" {
+		return fmt.Errorf("%q is not an absolute http(s) URL", u)
+	}
+	return nil
+}
+
 // handleMigrate pushes one tenant's session to a peer node: export here,
 // import there, and delete the local copy only once the destination acks.
 // A push that fails leaves the local session untouched, so a migration can
@@ -300,8 +310,8 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tmid: migrate needs tenant and target", http.StatusBadRequest)
 		return
 	}
-	if u, err := url.Parse(req.Target); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		http.Error(w, fmt.Sprintf("tmid: migrate target %q is not an absolute http(s) URL", req.Target), http.StatusBadRequest)
+	if err := CheckNodeURL(req.Target); err != nil {
+		http.Error(w, "tmid: migrate target "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	snap, ok := s.exportSnapshot(req.Tenant)
