@@ -192,15 +192,20 @@ func (d *Detector[M]) check(prev, cur *Epoch[M], b uint64) {
 	if prev.TID == cur.TID || (prev.sync && cur.sync) || prev.clk <= d.vc[cur.TID][prev.TID] {
 		return
 	}
-	key := [2]uint64{prev.PC, cur.PC}
-	if key[0] > key[1] {
-		key[0], key[1] = key[1], key[0]
-	}
+	key := PCPair(prev.PC, cur.PC)
 	if d.seen[key] {
 		return
 	}
 	d.seen[key] = true
 	d.races = append(d.races, Race[M]{Prev: prev, Cur: cur, Addr: b})
+}
+
+// PCPair is the unordered PC pair races are deduplicated by.
+func PCPair(a, b uint64) [2]uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]uint64{a, b}
 }
 
 // Fence processes a standalone fence with the given effective semantics.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/hb"
 )
 
 // The SC-equivalence oracle: explore the unmonitored baseline (its token
@@ -104,10 +105,7 @@ func CheckSC(f Factory, opts SCOptions) (*SCResult, error) {
 	seen := make(map[[2]uint64]bool)
 	for _, lst := range [][]RaceReport{base.Races, ptsb.Races} {
 		for _, race := range lst {
-			key := [2]uint64{race.PC1, race.PC2}
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
-			}
+			key := hb.PCPair(race.PC1, race.PC2)
 			if seen[key] {
 				continue
 			}

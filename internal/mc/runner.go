@@ -516,10 +516,7 @@ func (e *explorer) record(rr *runResult) {
 		info.Count++
 	}
 	for _, race := range rr.races {
-		key := [2]uint64{race.PC1, race.PC2}
-		if key[0] > key[1] {
-			key[0], key[1] = key[1], key[0]
-		}
+		key := hb.PCPair(race.PC1, race.PC2)
 		if e.raceKeys[key] {
 			continue
 		}
