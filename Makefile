@@ -3,8 +3,8 @@
 # annotation verification of the whole workload catalog), race-harness
 # (the sweep executor and the tmid service are where real host-level
 # concurrency lives, so their tests run under the race detector), mc
-# (tmimc's exhaustive model-checking of the litmus kernels, plus the
-# negative fixture that must diverge), suggest (tmilint's static repair
+# (tmimc's exhaustive model-checking of the litmus kernels, plus the two
+# negative fixtures that must diverge), suggest (tmilint's static repair
 # solver run on the broken fixtures, its repair sets applied by tmimc and
 # certified SC-equivalent and race-free), benchgate (fig9's table must stay
 # byte-identical to the committed golden), backends (cross-backend repair
@@ -195,19 +195,18 @@ tmilint:
 	$(GO) run ./cmd/tmilint
 
 # mc machine-checks CCC soundness: the clean litmus kernels must be
-# SC-equivalent and race-free under exhaustive DPOR, and the deliberately
-# under-annotated fixture must produce an SC divergence.
+# SC-equivalent and race-free under exhaustive DPOR, and both deliberately
+# under-annotated fixtures (brokenfence, and the 4-thread relaxed IRIW whose
+# readers can disagree on the store order) must produce an SC divergence.
 mc:
 	$(GO) run ./cmd/tmimc
 	$(GO) run ./cmd/tmimc -workload litmus-brokenfence -expect-divergence
+	$(GO) run ./cmd/tmimc -workload litmus-iriw-relaxed -expect-divergence
 
 # suggest closes the repair loop on the broken fixtures: tmilint solves for
 # a minimal static repair set, tmimc applies it and certifies the repaired
-# kernel SC-equivalent and race-free. brokenfence explores to completion;
-# the 4-thread relaxed-IRIW baseline completes under 9000 runs while its
-# PTSB side is capped, which -allow-incomplete waives via the subset
-# argument (a capped PTSB run checked against a complete SC set cannot
-# certify a non-SC behavior).
+# kernel SC-equivalent and race-free. Both repaired fixtures explore to
+# completion within tmimc's default run budget.
 suggest:
 	@dir=$$(mktemp -d); rc=1; \
 	$(GO) build -o $$dir/tmilint ./cmd/tmilint && \
@@ -215,7 +214,7 @@ suggest:
 	$$dir/tmilint -suggest -predict none -json -workloads litmus-brokenfence > $$dir/bf.json && \
 	$$dir/tmimc -apply $$dir/bf.json && \
 	$$dir/tmilint -suggest -predict none -json -workloads litmus-iriw-relaxed > $$dir/iriw.json && \
-	$$dir/tmimc -apply $$dir/iriw.json -max-runs 9000 -allow-incomplete && \
+	$$dir/tmimc -apply $$dir/iriw.json && \
 	rc=0 && echo "suggest: repaired fixtures verified SC-equivalent and race-free"; \
 	rm -rf $$dir; exit $$rc
 

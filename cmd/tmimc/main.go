@@ -27,11 +27,8 @@
 // -apply closes the repair loop: tmilint's static suggest engine proposes a
 // minimal set of atomicity upgrades, ordering strengthenings and fence
 // insertions; tmimc re-executes the repaired program under both the SC
-// baseline and the PTSB and certifies the repair dynamically. For large
-// kernels whose PTSB exploration exceeds -max-runs, -allow-incomplete keeps
-// the gate sound via a subset argument: when the *baseline* completed, every
-// PTSB outcome seen was checked against the full SC set, so a capped but
-// divergence-free PTSB run cannot have certified a non-SC behavior.
+// baseline and the PTSB and certifies the repair dynamically. Both
+// explorations must complete within -max-runs for the gate to pass.
 package main
 
 import (
@@ -57,7 +54,6 @@ func main() {
 		expectDiv  = flag.Bool("expect-divergence", false, "invert the gate: pass only if every workload diverges (for negative fixtures)")
 		replay     = flag.String("replay", "", "comma-separated decision sequence to re-execute under the PTSB (single -workload)")
 		applyFile  = flag.String("apply", "", "path to a `tmilint -suggest -json` repair set; applies it to its workload before checking")
-		allowInc   = flag.Bool("allow-incomplete", false, "tolerate a capped PTSB exploration when the baseline completed (subset argument)")
 		threads    = flag.Int("threads", 0, "override thread count")
 		seed       = flag.Int64("seed", 1, "determinism seed")
 		maxRuns    = flag.Int("max-runs", 0, "cap on executions per exploration (0 = default)")
@@ -122,13 +118,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tmimc: %s: %v\n", name, err)
 			os.Exit(2)
 		}
-		gather(rep, name, res, *expectDiv, *exhaustive, *allowInc)
+		gather(rep, name, res, *expectDiv, *exhaustive)
 		if !*jsonOut {
 			printResult(name, res, *expectDiv)
-			if *allowInc && *exhaustive && res.Baseline.Complete && !res.PTSB.Complete {
-				fmt.Printf("    note: ptsb exploration capped at %d runs; baseline complete, so the SC verdict is subset-sound\n",
-					res.PTSB.Runs)
-			}
 		}
 	}
 	if *jsonOut {
@@ -145,10 +137,8 @@ func main() {
 // gather folds one SC check into the report. In the normal gate a
 // divergence, a race, a baseline validation failure or an incomplete
 // exhaustive exploration is a finding; with expectDiv the gate inverts and
-// only the *absence* of a divergence is. allowInc waives the incomplete
-// finding for a capped PTSB exploration, but only when the baseline
-// completed — that is the precondition of the subset argument.
-func gather(rep *toolio.Report, name string, res *mc.SCResult, expectDiv, exhaustive, allowInc bool) {
+// only the *absence* of a divergence is.
+func gather(rep *toolio.Report, name string, res *mc.SCResult, expectDiv, exhaustive bool) {
 	rep.AddStat(name+".baseline_runs", float64(res.Baseline.Runs))
 	rep.AddStat(name+".baseline_outcomes", float64(len(res.Baseline.Outcomes)))
 	rep.AddStat(name+".ptsb_runs", float64(res.PTSB.Runs))
@@ -188,9 +178,6 @@ func gather(rep *toolio.Report, name string, res *mc.SCResult, expectDiv, exhaus
 		})
 	}
 	if exhaustive && (!res.Baseline.Complete || !res.PTSB.Complete) {
-		if allowInc && res.Baseline.Complete {
-			return // capped PTSB vs a complete SC set: subset-sound, waived
-		}
 		rep.Add(toolio.Finding{
 			Workload: name, Rule: "incomplete",
 			Detail: fmt.Sprintf("exploration hit the run budget (baseline %d, ptsb %d runs) — raise -max-runs or use -exhaustive=false",

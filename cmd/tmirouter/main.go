@@ -89,15 +89,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tmirouter: need -nodes or -nodes-file")
 		os.Exit(2)
 	}
-	if err := cluster.CheckNodes(nodes); err != nil {
-		fmt.Fprintln(os.Stderr, "tmirouter: node", err)
-		os.Exit(2)
-	}
-
-	rt := cluster.New(cluster.Config{
+	rt, err := cluster.New(cluster.Config{
 		Nodes: nodes, VNodes: *vnodes, BoundFactor: *bound,
 		ProbeInterval: *probe, FailAfter: *failAfter,
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tmirouter: node", err)
+		os.Exit(2)
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

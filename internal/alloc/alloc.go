@@ -26,6 +26,14 @@ const BulkBase uint64 = 0x10_0000_0000
 // shared-memory region hosts them so globals pages can be repaired too.
 const GlobalsBase uint64 = 0x0800_0000
 
+// StateBase is where TMI's always-shared state region (padded
+// synchronization objects, runtime metadata) lives (Figure 6).
+const StateBase uint64 = 0x7000_0000
+
+// StateSize bounds the state region: it is reserved in full, mapped only as
+// AllocState reaches into it.
+const StateSize uint64 = 32 << 20
+
 // Backing identifies what kind of memory backs the heap, which drives the
 // first-touch fault cost (Figure 10's 4 KiB-vs-huge-page comparison).
 type Backing int
@@ -98,21 +106,26 @@ func PaddedPolicy() Policy {
 	return Policy{Name: "padded", DefaultAlign: 64, LargeAlign: 64, LargeThreshold: 1 << 10, PerOpCycles: 70}
 }
 
-// Allocator hands out simulated heap addresses and keeps the backing file
-// mapped in every registered address space.
+// region is one file-backed range (heap, globals, TMI state): a bump
+// pointer whose pages are mapped, shared, in every registered space as the
+// pointer crosses into them.
+type region struct {
+	base, next uint64
+	name       string    // file name, for a file created on first use
+	file       *mem.File // nil until the first page is mapped
+	pages      uint64    // mapped pages
+}
+
+// Allocator hands out simulated addresses in the heap, globals and TMI state
+// regions and keeps them mapped in every registered address space.
 type Allocator struct {
 	policy   Policy
 	backing  Backing
-	file     *mem.File
 	spaces   []*mem.AddrSpace
 	pageSize uint64
 
-	next        uint64
-	bulkNext    uint64
-	globalsNext uint64
-	mapped      uint64 // first unmapped heap page index
-	globalsFile *mem.File
-	globalsPgs  uint64
+	heap, globals, state region
+	bulkNext             uint64
 
 	// freeLists recycles small blocks by size class (powers of two from
 	// MinClass to MaxClass), as Lockless does; larger blocks are not
@@ -148,16 +161,17 @@ func classFor(n int) int {
 }
 
 // New creates an allocator over file with the given policy and backing.
-// Spaces registered with AddSpace get the heap mapped as it grows.
+// Spaces registered with AddSpace get the heap, globals and state regions
+// mapped as they grow.
 func New(policy Policy, backing Backing, file *mem.File, pageSize int) *Allocator {
 	return &Allocator{
-		policy:      policy,
-		backing:     backing,
-		file:        file,
-		pageSize:    uint64(pageSize),
-		next:        HeapBase,
-		bulkNext:    BulkBase,
-		globalsNext: GlobalsBase,
+		policy:   policy,
+		backing:  backing,
+		pageSize: uint64(pageSize),
+		heap:     region{base: HeapBase, next: HeapBase, file: file},
+		globals:  region{base: GlobalsBase, next: GlobalsBase, name: "globals"},
+		state:    region{base: StateBase, next: StateBase, name: "tmistate"},
+		bulkNext: BulkBase,
 	}
 }
 
@@ -178,14 +192,11 @@ func (a *Allocator) SetPolicy(p Policy) {
 // Backing returns the heap's backing kind.
 func (a *Allocator) Backing() Backing { return a.backing }
 
-// AddSpace registers an address space; already-mapped heap pages are mapped
-// into it immediately.
+// AddSpace registers an address space; already-mapped pages are mapped into
+// it immediately.
 func (a *Allocator) AddSpace(s *mem.AddrSpace) {
-	if a.mapped > 0 {
-		s.Map(HeapBase, int(a.mapped), a.file, 0, false, mem.ProtRW)
-	}
-	if a.globalsPgs > 0 {
-		s.Map(GlobalsBase, int(a.globalsPgs), a.globalsFile, 0, false, mem.ProtRW)
+	for _, r := range []*region{&a.heap, &a.globals, &a.state} {
+		r.mapInto(s, 0, a.pageSize)
 	}
 	if a.bulkNext > BulkBase {
 		s.MapBulk(BulkBase, a.bulkNext-BulkBase)
@@ -214,11 +225,9 @@ func (a *Allocator) Alloc(n, align int) uint64 {
 			}
 		}
 	}
-	addr := (a.next + uint64(align) - 1) &^ (uint64(align) - 1)
-	a.next = addr + uint64(n)
+	addr := a.bump(&a.heap, n, align)
 	a.Allocations++
-	a.HeapBytes = a.next - HeapBase
-	a.ensureMapped(a.next)
+	a.HeapBytes = a.heap.next - HeapBase
 	return addr
 }
 
@@ -256,24 +265,26 @@ func (a *Allocator) AllocGlobal(n, align int) uint64 {
 	if align < 1 {
 		align = 1
 	}
-	if a.globalsFile == nil {
-		a.globalsFile = a.file.Memory().NewFile("globals")
-	}
-	addr := (a.globalsNext + uint64(align) - 1) &^ (uint64(align) - 1)
-	a.globalsNext = addr + uint64(n)
+	addr := a.bump(&a.globals, n, align)
 	a.Allocations++
-	need := (a.globalsNext - GlobalsBase + a.pageSize - 1) / a.pageSize
-	if need > a.globalsPgs {
-		for _, s := range a.spaces {
-			s.Map(GlobalsBase+a.globalsPgs*a.pageSize, int(need-a.globalsPgs), a.globalsFile, int(a.globalsPgs), false, mem.ProtRW)
-		}
-		a.globalsPgs = need
-	}
 	return addr
 }
 
 // GlobalsEnd returns the first address past the mapped globals.
-func (a *Allocator) GlobalsEnd() uint64 { return GlobalsBase + a.globalsPgs*a.pageSize }
+func (a *Allocator) GlobalsEnd() uint64 { return a.globals.end(a.pageSize) }
+
+// AllocState places n bytes in TMI's always-shared state region, where the
+// process-shared synchronization objects live. Running past StateSize
+// panics.
+func (a *Allocator) AllocState(n int) uint64 {
+	if n <= 0 {
+		panic("alloc: non-positive state size")
+	}
+	if a.state.next+uint64(n) > StateBase+StateSize {
+		panic("alloc: state region exhausted")
+	}
+	return a.bump(&a.state, n, 1)
+}
 
 // AllocBulk reserves n bytes of bulk data in every registered space.
 func (a *Allocator) AllocBulk(n int64) uint64 {
@@ -284,7 +295,7 @@ func (a *Allocator) AllocBulk(n int64) uint64 {
 	size := (uint64(n) + a.pageSize - 1) &^ (a.pageSize - 1)
 	a.bulkNext += size
 	a.BulkBytes += size
-	a.file.Memory().Reserve(size)
+	a.heap.file.Memory().Reserve(size)
 	for _, s := range a.spaces {
 		s.MapBulk(addr, size)
 	}
@@ -294,22 +305,40 @@ func (a *Allocator) AllocBulk(n int64) uint64 {
 // PerOpCycles reports the allocator's modeled per-allocation cost.
 func (a *Allocator) PerOpCycles() int64 { return a.policy.PerOpCycles }
 
-func (a *Allocator) ensureMapped(limit uint64) {
-	needPages := (limit - HeapBase + a.pageSize - 1) / a.pageSize
-	if needPages <= a.mapped {
-		return
+// bump carves n bytes aligned to align from r and maps the pages the
+// region grew into in every registered space.
+func (a *Allocator) bump(r *region, n, align int) uint64 {
+	addr := (r.next + uint64(align) - 1) &^ (uint64(align) - 1)
+	r.next = addr + uint64(n)
+	need := (r.next - r.base + a.pageSize - 1) / a.pageSize
+	if need > r.pages {
+		if r.file == nil {
+			r.file = a.heap.file.Memory().NewFile(r.name)
+		}
+		from := r.pages
+		r.pages = need
+		for _, s := range a.spaces {
+			r.mapInto(s, from, a.pageSize)
+		}
 	}
-	for _, s := range a.spaces {
-		s.Map(HeapBase+a.mapped*a.pageSize, int(needPages-a.mapped), a.file, int(a.mapped), false, mem.ProtRW)
-	}
-	a.mapped = needPages
+	return addr
 }
 
+// mapInto maps r's pages from page index from up to its mapped size into s.
+func (r *region) mapInto(s *mem.AddrSpace, from, pageSize uint64) {
+	if r.pages > from {
+		s.Map(r.base+from*pageSize, int(r.pages-from), r.file, int(from), false, mem.ProtRW)
+	}
+}
+
+// end returns the first address past r's mapped pages.
+func (r *region) end(pageSize uint64) uint64 { return r.base + r.pages*pageSize }
+
 // HeapPages reports the mapped heap size in pages.
-func (a *Allocator) HeapPages() int { return int(a.mapped) }
+func (a *Allocator) HeapPages() int { return int(a.heap.pages) }
 
 // HeapEnd returns the first address past the allocated heap.
-func (a *Allocator) HeapEnd() uint64 { return HeapBase + a.mapped*a.pageSize }
+func (a *Allocator) HeapEnd() uint64 { return a.heap.end(a.pageSize) }
 
 // String describes the allocator configuration.
 func (a *Allocator) String() string {

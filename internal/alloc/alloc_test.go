@@ -58,7 +58,7 @@ func TestLateSpaceSeesExistingHeap(t *testing.T) {
 	late := mem.NewAddrSpace(mem.NewMemory(mem.PageSize4K))
 	_ = late // wrong memory: build from same memory instead
 	a.AllocBulk(1 << 20)
-	s2 := mem.NewAddrSpace(a.file.Memory())
+	s2 := mem.NewAddrSpace(a.heap.file.Memory())
 	a.AddSpace(s2)
 	if _, fault := s2.Translate(addr, true); fault != nil {
 		t.Fatalf("late space missing heap mapping: %v", fault)
@@ -96,7 +96,7 @@ func TestBulkAccounting(t *testing.T) {
 	if as.BulkAt(addr) == nil {
 		t.Error("bulk region not mapped")
 	}
-	if got := a.file.Memory().AccountedBytes(); got < 10<<20 {
+	if got := a.heap.file.Memory().AccountedBytes(); got < 10<<20 {
 		t.Errorf("accounted %d, want >= 10MB", got)
 	}
 	// Second region follows the first.
@@ -118,7 +118,7 @@ func TestFaultCostsOrdered(t *testing.T) {
 func TestQuickSharedHeapVisibility(t *testing.T) {
 	check := func(seed int64) bool {
 		a, s1 := newAlloc(TMIPolicy(), mem.PageSize4K)
-		s2 := mem.NewAddrSpace(a.file.Memory())
+		s2 := mem.NewAddrSpace(a.heap.file.Memory())
 		a.AddSpace(s2)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 50; i++ {
@@ -191,4 +191,54 @@ func TestClassFor(t *testing.T) {
 			t.Errorf("classFor(%d) = %d, want %d", n, got, want)
 		}
 	}
+}
+
+// TestAllocStateMapsOnDemand: state objects land in the always-shared state
+// region, which is mapped page by page as it grows — into spaces registered
+// later too — and stays shared across a fork, and the region's reserved size
+// is a hard bound.
+func TestAllocStateMapsOnDemand(t *testing.T) {
+	t.Run("late space", func(t *testing.T) {
+		a, _ := newAlloc(TMIPolicy(), mem.PageSize4K)
+		first := a.AllocState(64)
+		if first != StateBase {
+			t.Fatalf("first state object at 0x%x, want StateBase 0x%x", first, StateBase)
+		}
+		late := mem.NewAddrSpace(a.heap.file.Memory())
+		a.AddSpace(late)
+		a.AllocState(mem.PageSize4K) // reaches into the second page
+		for _, addr := range []uint64{first, StateBase + mem.PageSize4K} {
+			if _, fault := late.Translate(addr, true); fault != nil {
+				t.Fatalf("state 0x%x unmapped in late space: %v", addr, fault)
+			}
+		}
+		if _, fault := late.Translate(StateBase+2*mem.PageSize4K, false); fault == nil {
+			t.Error("state page past the bump pointer is mapped")
+		}
+	})
+	t.Run("shared across clone", func(t *testing.T) {
+		a, parent := newAlloc(TMIPolicy(), mem.PageSize4K)
+		addr := a.AllocState(64)
+		child := parent.Clone()
+		tr, fault := child.Translate(addr, true)
+		if fault != nil {
+			t.Fatal(fault)
+		}
+		mem.StoreUint(tr, 8, 0xfeed)
+		tr, fault = parent.Translate(addr, false)
+		if fault != nil || mem.LoadUint(tr, 8) != 0xfeed {
+			t.Fatal("child's write to a state object is not visible to the parent")
+		}
+	})
+	t.Run("exhaustion panics", func(t *testing.T) {
+		a, _ := newAlloc(TMIPolicy(), mem.PageSize2M)
+		a.AllocState(int(StateSize) - 64)
+		a.AllocState(64) // exactly fills the region
+		defer func() {
+			if recover() == nil {
+				t.Error("allocating past StateSize did not panic")
+			}
+		}()
+		a.AllocState(1)
+	})
 }

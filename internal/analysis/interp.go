@@ -8,7 +8,8 @@ package analysis
 // and at every blocking synchronization point — so shared Go state inside
 // workload bodies (leveldb's tree) stays data-race free and footprints are
 // reproducible. Allocation order, lock/rwlock word sizes, lock indirection
-// and the per-thread random-seed derivation all mirror internal/core, so
+// and the per-thread random-seed derivation mirror internal/core, and the
+// heap, globals and TMI state region come from the allocator core uses, so
 // the byte footprints the model records line up with a dynamic run of the
 // same seed.
 
@@ -19,7 +20,6 @@ import (
 	"sync"
 
 	"repro/internal/alloc"
-	"repro/internal/core"
 	"repro/internal/disasm"
 	"repro/internal/sim/mem"
 	"repro/tmi/workload"
@@ -65,8 +65,7 @@ type interp struct {
 
 	// indirect mirrors psync.Manager.Indirect: lock words hold a pointer
 	// into the always-shared state region.
-	indirect  bool
-	stateNext uint64
+	indirect bool
 
 	// Monitorable bounds, snapshotted after Setup (the detector monitors
 	// heap and globals only).
@@ -115,18 +114,14 @@ func newInterp(w workload.Workload, info workload.Info, opt Options) *interp {
 			Lines:    make(map[uint64]*LineModel),
 			Notes:    make(map[string]float64),
 		},
-		indirect:  indirect,
-		stateNext: core.InternalBase,
-		doneCh:    make(chan struct{}),
+		indirect: indirect,
+		doneCh:   make(chan struct{}),
 	}
 	in.memory = mem.NewMemory(mem.PageSize4K)
 	in.space = mem.NewAddrSpace(in.memory)
 	heapFile := in.memory.NewFile("appheap")
 	in.al = alloc.New(policy, backing, heapFile, mem.PageSize4K)
 	in.al.AddSpace(in.space)
-
-	stateFile := in.memory.NewFile("tmistate")
-	in.space.Map(core.InternalBase, int(core.InternalSize)/mem.PageSize4K, stateFile, 0, false, mem.ProtRW)
 
 	in.prog = disasm.NewProgram()
 	in.sitePtr = in.prog.RuntimeSite("psync.lockword.deref", disasm.KindLoad, 8)
@@ -845,15 +840,6 @@ func (e *ienv) Site(name string, kind workload.SiteKind, width int) workload.Sit
 	return workload.Site{PC: s.PC(), Kind: kind, Width: width}
 }
 
-func (in *interp) allocState() uint64 {
-	if in.stateNext+lineSize > core.InternalBase+core.InternalSize {
-		panic("analysis: tmi state region exhausted")
-	}
-	addr := in.stateNext
-	in.stateNext += lineSize
-	return addr
-}
-
 func (e *ienv) NewMutex(name string) workload.Mutex {
 	return e.NewMutexAt(name, e.in.al.Alloc(40, 8))
 }
@@ -862,14 +848,14 @@ func (e *ienv) NewMutexAt(name string, appAddr uint64) workload.Mutex {
 	in := e.in
 	mu := &imutex{name: name, appAddr: appAddr}
 	if in.indirect {
-		mu.objAddr = in.allocState()
+		mu.objAddr = in.al.AllocState(lineSize)
 		in.storeDirect(appAddr, 8, mu.objAddr)
 	}
 	return mu
 }
 
 func (e *ienv) NewBarrier(name string, parties int) workload.Barrier {
-	return &ibarrier{name: name, objAddr: e.in.allocState(), parties: parties}
+	return &ibarrier{name: name, objAddr: e.in.al.AllocState(lineSize), parties: parties}
 }
 
 func (e *ienv) NewCond(name string) workload.Cond {
@@ -882,7 +868,7 @@ func (e *ienv) NewRWMutex(name string) workload.RWMutex {
 	in.registerRWSites()
 	rw := &irwmutex{name: name, appAddr: appAddr}
 	if in.indirect {
-		rw.objAddr = in.allocState()
+		rw.objAddr = in.al.AllocState(lineSize)
 		in.storeDirect(appAddr, 8, rw.objAddr)
 	}
 	return rw

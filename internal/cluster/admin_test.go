@@ -25,7 +25,10 @@ var badReloadBodies = []string{
 
 // adminRouter is a router with one member and no prober, driven in process.
 func adminRouter(t testing.TB) *Router {
-	rt := New(Config{Nodes: []string{adminGoodNode}, ProbeInterval: -1})
+	rt, err := New(Config{Nodes: []string{adminGoodNode}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(rt.Close)
 	return rt
 }
@@ -81,8 +84,26 @@ func TestRouterRejectsBadNodeURLs(t *testing.T) {
 	if got := memberURLs(rt); !reflect.DeepEqual(got, []string{adminGoodNode, "http://127.0.0.1:7422"}) {
 		t.Errorf("members after a good add: %q", got)
 	}
-	if err := CheckNodes([]string{adminGoodNode, "ftp://x"}); err == nil {
-		t.Error("CheckNodes accepted ftp://x")
+}
+
+// TestNewRejectsBadNodeURLs: a router is never built over a member list
+// with an entry that cannot name a node, so no library caller can put one
+// on the ring.
+func TestNewRejectsBadNodeURLs(t *testing.T) {
+	for _, node := range badNodeURLs {
+		rt, err := New(Config{Nodes: []string{adminGoodNode, node}, ProbeInterval: -1})
+		if err == nil {
+			rt.Close()
+			t.Errorf("New accepted member %q", node)
+		}
+	}
+	rt, err := New(Config{Nodes: []string{adminGoodNode + "/"}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if got := memberURLs(rt); !reflect.DeepEqual(got, []string{adminGoodNode}) {
+		t.Errorf("members %q, want %q", got, adminGoodNode)
 	}
 }
 

@@ -50,7 +50,12 @@ func NewLocal(n int, scfg service.Config, rcfg Config) (*Local, error) {
 		urls = append(urls, node.url)
 	}
 	rcfg.Nodes = urls
-	lc.Router = New(rcfg)
+	rt, err := New(rcfg)
+	if err != nil {
+		lc.Close()
+		return nil, err
+	}
+	lc.Router = rt
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -17,11 +17,14 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden scrape files u
 // MigrationStats quantiles byte for byte. Every member is dead, so the
 // render scrapes no node and depends on the router registry alone.
 func TestRouterMetricsGoldenScrape(t *testing.T) {
-	rt := New(Config{
+	rt, err := New(Config{
 		Nodes:         []string{"http://node-a.invalid:7412", "http://node-b.invalid:7412"},
 		ProbeInterval: -1,
 		FailAfter:     1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer rt.Close()
 	rt.reportNodeFailure("http://node-a.invalid:7412")
 	rt.reportNodeFailure("http://node-b.invalid:7412")

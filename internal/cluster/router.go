@@ -92,8 +92,9 @@ type Router struct {
 }
 
 // New builds a router over the configured members and starts its health
-// prober. Close releases it.
-func New(cfg Config) *Router {
+// prober. Close releases it. A member that cannot name a node is an error,
+// and then no router is built.
+func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:       cfg,
@@ -103,7 +104,11 @@ func New(cfg Config) *Router {
 		probeDone: make(chan struct{}),
 	}
 	for _, n := range cfg.Nodes {
-		rt.members[strings.TrimSuffix(n, "/")] = &member{url: strings.TrimSuffix(n, "/"), alive: true}
+		url, err := memberURL(n)
+		if err != nil {
+			return nil, err
+		}
+		rt.members[url] = &member{url: url, alive: true}
 	}
 	rt.rebuildLocked()
 	if cfg.ProbeInterval > 0 {
@@ -111,7 +116,7 @@ func New(cfg Config) *Router {
 	} else {
 		close(rt.probeDone)
 	}
-	return rt
+	return rt, nil
 }
 
 // Close stops the prober. In-flight relays finish on their own.
@@ -144,17 +149,6 @@ func (rt *Router) rebuildLocked() {
 func memberURL(url string) (string, error) {
 	url = strings.TrimSuffix(url, "/")
 	return url, service.CheckNodeURL(url)
-}
-
-// CheckNodes returns an error naming the first of urls that cannot be a
-// ring member.
-func CheckNodes(urls []string) error {
-	for _, u := range urls {
-		if _, err := memberURL(u); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AddNode admits a node (idempotent) and rebuilds the ring. A URL that

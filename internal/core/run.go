@@ -21,14 +21,9 @@ import (
 	"repro/tmi/workload"
 )
 
-// Layout constants for the simulated address space.
+// LibBase/StackBase are synthetic regions for address-map filtering; the
+// heap, globals and TMI state regions are laid out by internal/alloc.
 const (
-	// InternalBase is where TMI's always-shared state region (padded
-	// synchronization objects, runtime metadata) lives (Figure 6).
-	InternalBase uint64 = 0x7000_0000
-	// InternalSize bounds the state region.
-	InternalSize uint64 = 32 << 20
-	// LibBase/StackBase are synthetic regions for address-map filtering.
 	LibBase   uint64 = 0x7f00_0000_0000
 	StackBase uint64 = 0x7ff0_0000_0000
 )
@@ -193,20 +188,11 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 	rt.al.AddSpace(rt.app.Space)
 	rt.al.AddSpace(rt.sharedView)
 
-	// TMI state region: always process-shared, mapped in every view.
-	stateFile := rt.osys.ShmOpen("tmistate")
-	statePages := int(InternalSize) / pageSize
-	if statePages < 1 {
-		statePages = 1
-	}
-	rt.app.Space.Map(InternalBase, statePages, stateFile, 0, false, mem.ProtRW)
-	rt.sharedView.Map(InternalBase, statePages, stateFile, 0, false, mem.ProtRW)
-
 	rt.prog = disasm.NewProgram()
 	// Lock indirection (pshared objects) is part of TMI's and Sheriff's
 	// runtime environments; LASER and Plastic leave pthread words in place.
 	indirect := cfg.Setup.IsTMI() || cfg.Setup.IsSheriff()
-	rt.psyncMgr = psync.NewManager(rt.prog, rt.sharedView, InternalBase, InternalSize, indirect, psync.Hooks{
+	rt.psyncMgr = psync.NewManager(rt.prog, rt.sharedView, rt.al, indirect, psync.Hooks{
 		OnSync: rt.onSync,
 	})
 
@@ -358,7 +344,7 @@ func (rt *runtime) buildAddressMap() {
 	if rt.al.BulkBytes > 0 {
 		am.AddRegion(alloc.BulkBase, alloc.BulkBase+rt.al.BulkBytes, osim.RegionHeap, "heap-bulk")
 	}
-	am.AddRegion(InternalBase, InternalBase+InternalSize, osim.RegionLib, "tmi-state")
+	am.AddRegion(alloc.StateBase, alloc.StateBase+alloc.StateSize, osim.RegionLib, "tmi-state")
 	am.AddRegion(LibBase, LibBase+(64<<20), osim.RegionLib, "libc")
 	am.AddRegion(StackBase, StackBase+uint64(rt.threads)*(8<<20), osim.RegionStack, "stacks")
 	rt.maps = &am
@@ -381,7 +367,7 @@ func (rt *runtime) layout() []string {
 			alloc.BulkBase, rt.al.BulkBytes>>20))
 	}
 	out = append(out, fmt.Sprintf("tmistate 0x%08x-0x%08x  always SHARED RW: %d padded sync objects (pshared mutexes etc.)",
-		InternalBase, InternalBase+InternalSize, rt.psyncMgr.Objects()))
+		alloc.StateBase, alloc.StateBase+alloc.StateSize, rt.psyncMgr.Objects()))
 	out = append(out, fmt.Sprintf("pagesize %d bytes; processes: %d converted", ps, len(rt.repairE.Spaces())))
 	return out
 }

@@ -158,12 +158,3 @@ func (e *explorer) exploreTree() error {
 		forced = append(append([]int(nil), path[:branch]...), choice)
 	}
 }
-
-func findSleep(s []sleepEntry, tid int) *sleepEntry {
-	for i := range s {
-		if s[i].tid == tid {
-			return &s[i]
-		}
-	}
-	return nil
-}

@@ -40,9 +40,6 @@ var c11CleanKernels = []string{"litmus-mp-relacq", "litmus-fencesb", "litmus-fen
 // exercise the per-ordering oracle semantics: release/acquire publication,
 // fence clocks, and relaxed non-publication.
 func TestC11DPORMatchesBrute(t *testing.T) {
-	if testing.Short() {
-		t.Skip("brute-force enumeration is slow")
-	}
 	for _, name := range c11CleanKernels {
 		for _, cfg := range []struct {
 			label string
@@ -136,9 +133,6 @@ func TestIRIWRelaxedForbiddenWitness(t *testing.T) {
 // completion, never produces the forbidden outcome — so the witness above is
 // a genuine divergence, not an SC behavior the fixture mislabels.
 func TestIRIWRelaxedBaselineExcludesForbidden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 4-thread baseline exploration is slow")
-	}
 	res, err := mc.Explore(catalogFactory(t, "litmus-iriw-relaxed"), baselineOpts())
 	if err != nil {
 		t.Fatal(err)

@@ -55,9 +55,6 @@ func TestExploreSB(t *testing.T) {
 // observe exactly the outcome set brute-force enumeration observes, on both
 // configurations, while executing fewer runs.
 func TestDPORMatchesBrute(t *testing.T) {
-	if testing.Short() {
-		t.Skip("brute-force enumeration is slow")
-	}
 	for _, name := range []string{"litmus-sb", "litmus-mp"} {
 		for _, cfg := range []struct {
 			label string

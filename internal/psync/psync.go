@@ -22,6 +22,7 @@ package psync
 import (
 	"fmt"
 
+	"repro/internal/alloc"
 	"repro/internal/disasm"
 	"repro/internal/sim/machine"
 	"repro/internal/sim/mem"
@@ -56,11 +57,10 @@ type Manager struct {
 	// (pthreads baseline) lock words are used in place.
 	Indirect bool
 
-	regionBase uint64
-	regionNext uint64
-	regionEnd  uint64
-	// setup writes go through this space (every space maps the region
-	// shared, so any one view works).
+	// al places objects in the always-shared state region; setup writes go
+	// through space (every space maps the region shared, so any one view
+	// works).
+	al    *alloc.Allocator
 	space *mem.AddrSpace
 
 	objects int
@@ -72,14 +72,10 @@ type Manager struct {
 	siteBarArr disasm.Site
 }
 
-// NewManager creates a manager whose objects live in the always-shared
-// region [base, base+size) of the given space.
-func NewManager(prog *disasm.Program, space *mem.AddrSpace, base, size uint64, indirect bool, hooks Hooks) *Manager {
-	m := &Manager{
-		prog: prog, hooks: hooks, Indirect: indirect,
-		regionBase: base, regionNext: base, regionEnd: base + size,
-		space: space,
-	}
+// NewManager creates a manager whose objects al places in the
+// always-shared state region, mapped in the given space.
+func NewManager(prog *disasm.Program, space *mem.AddrSpace, al *alloc.Allocator, indirect bool, hooks Hooks) *Manager {
+	m := &Manager{prog: prog, hooks: hooks, Indirect: indirect, al: al, space: space}
 	// Runtime sites: these instructions live in the synchronization library,
 	// below the compiler pass that inserts region annotations, so annotation
 	// checkers must not demand region enclosure for them.
@@ -95,17 +91,9 @@ func NewManager(prog *disasm.Program, space *mem.AddrSpace, base, size uint64, i
 // accounting: the indirection overhead of lock-heavy programs).
 func (m *Manager) Objects() int { return m.objects }
 
-// FootprintBytes reports the shared-object region consumption.
-func (m *Manager) FootprintBytes() uint64 { return m.regionNext - m.regionBase }
-
 func (m *Manager) allocObject() uint64 {
-	if m.regionNext+ObjectBytes > m.regionEnd {
-		panic("psync: shared region exhausted")
-	}
-	a := m.regionNext
-	m.regionNext += ObjectBytes
 	m.objects++
-	return a
+	return m.al.AllocState(ObjectBytes)
 }
 
 func (m *Manager) sync(t *machine.Thread) {

@@ -4,16 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/disasm"
 	"repro/internal/sim/machine"
 	"repro/internal/sim/mem"
 )
 
-const (
-	heapBase  = 0x1000_0000
-	stateBase = 0x7000_0000
-	stateSize = 1 << 20
-)
+const heapBase = alloc.HeapBase
 
 type fixture struct {
 	mc    *machine.Machine
@@ -24,17 +21,16 @@ type fixture struct {
 func newFixture(t *testing.T, threads int, indirect bool, hooks Hooks) *fixture {
 	t.Helper()
 	m := mem.NewMemory(mem.PageSize4K)
-	heap := m.NewFile("heap")
-	state := m.NewFile("state")
 	as := mem.NewAddrSpace(m)
-	as.Map(heapBase, 16, heap, 0, false, mem.ProtRW)
-	as.Map(stateBase, stateSize/mem.PageSize4K, state, 0, false, mem.ProtRW)
+	al := alloc.New(alloc.TMIPolicy(), alloc.BackingSharedFile, m.NewFile("heap"), mem.PageSize4K)
+	al.AddSpace(as)
+	al.Alloc(16*mem.PageSize4K, mem.PageSize4K) // the heap words tests place locks at
 	mc := machine.New(machine.Config{Cores: threads, Seed: 11, Mem: m})
 	for _, th := range mc.Threads() {
 		th.SetSpace(as)
 	}
 	prog := disasm.NewProgram()
-	mgr := NewManager(prog, as, stateBase, stateSize, indirect, hooks)
+	mgr := NewManager(prog, as, al, indirect, hooks)
 	return &fixture{mc: mc, mgr: mgr, space: as}
 }
 
@@ -98,7 +94,7 @@ func TestMutexIndirectionInstallsPointer(t *testing.T) {
 	f.mgr.NewMutex("m", heapBase+64)
 	tr, _ := f.space.Translate(heapBase+64, false)
 	ptr := mem.LoadUint(tr, 8)
-	if ptr < stateBase || ptr >= stateBase+stateSize {
+	if ptr < alloc.StateBase || ptr >= alloc.StateBase+alloc.StateSize {
 		t.Errorf("lock word should point into the shared region, got 0x%x", ptr)
 	}
 	if f.mgr.Objects() != 1 {
