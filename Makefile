@@ -1,12 +1,15 @@
 # Build, test and lint entry points. `make check` is the gate a PR must
 # pass: tier-1 build+test, lint (gofmt, go vet, and tmilint's static
-# annotation verification of the whole workload catalog), race-harness
+# annotation verification of the whole workload catalog, its output
+# byte-identical to testdata/tmilint_golden.txt), race-harness
 # (the sweep executor and the tmid service are where real host-level
 # concurrency lives, so their tests run under the race detector), mc
 # (tmimc's exhaustive model-checking of the litmus kernels, plus the two
 # negative fixtures that must diverge), suggest (tmilint's static repair
-# solver run on the broken fixtures, its repair sets applied by tmimc and
-# certified SC-equivalent and race-free), benchgate (fig9's table must stay
+# solver over the catalog, byte-identical to
+# testdata/tmilint_suggest_golden.txt, then run on the broken fixtures, its
+# repair sets applied by tmimc and certified SC-equivalent and race-free),
+# benchgate (fig9's table must stay
 # byte-identical to the committed golden), backends (cross-backend repair
 # parity plus the two-socket policy-table sweep), serve-smoke (a race-built
 # tmid server replayed at by concurrent tmiload clients, advice streams
@@ -203,14 +206,19 @@ mc:
 	$(GO) run ./cmd/tmimc -workload litmus-brokenfence -expect-divergence
 	$(GO) run ./cmd/tmimc -workload litmus-iriw-relaxed -expect-divergence
 
-# suggest closes the repair loop on the broken fixtures: tmilint solves for
-# a minimal static repair set, tmimc applies it and certifies the repaired
+# suggest first pins the catalog's repair sets: `tmilint -suggest -predict
+# none` must match testdata/tmilint_suggest_golden.txt byte for byte. It then
+# closes the repair loop on the broken fixtures: tmilint solves for a
+# minimal static repair set, tmimc applies it and certifies the repaired
 # kernel SC-equivalent and race-free. Both repaired fixtures explore to
 # completion within tmimc's default run budget.
 suggest:
 	@dir=$$(mktemp -d); rc=1; \
 	$(GO) build -o $$dir/tmilint ./cmd/tmilint && \
 	$(GO) build -o $$dir/tmimc ./cmd/tmimc && \
+	$$dir/tmilint -suggest -predict none > $$dir/all.txt && \
+	{ diff -u testdata/tmilint_suggest_golden.txt $$dir/all.txt || \
+		{ echo "suggest: output diverged from testdata/tmilint_suggest_golden.txt"; false; }; } && \
 	$$dir/tmilint -suggest -predict none -json -workloads litmus-brokenfence > $$dir/bf.json && \
 	$$dir/tmimc -apply $$dir/bf.json && \
 	$$dir/tmilint -suggest -predict none -json -workloads litmus-iriw-relaxed > $$dir/iriw.json && \
@@ -218,8 +226,16 @@ suggest:
 	rc=0 && echo "suggest: repaired fixtures verified SC-equivalent and race-free"; \
 	rm -rf $$dir; exit $$rc
 
+# lint gates tmilint's whole report, not just its exit status: the
+# catalog's per-workload site, line and op counts and the default
+# predictions must stay byte-identical to testdata/tmilint_golden.txt.
 lint: fmt vet
-	$(GO) run ./cmd/tmilint
+	@tmp=$$(mktemp); \
+	$(GO) run ./cmd/tmilint > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
+	if ! diff -u testdata/tmilint_golden.txt $$tmp; then \
+		echo "lint: tmilint output diverged from testdata/tmilint_golden.txt"; rm -f $$tmp; exit 1; \
+	fi; \
+	rm -f $$tmp; echo "lint: tmilint output matches golden"
 
 ci: build test vet vet-src lint
 
