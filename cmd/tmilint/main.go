@@ -1,9 +1,9 @@
 // Command tmilint is the static CCC-annotation verifier and false-sharing
-// layout predictor: the compile-time companion to tmirun. It abstractly
-// interprets workloads (internal/analysis), verifies the code-centric
-// consistency annotation contract against the Table 2 policy, and predicts
-// falsely-shared cache lines from allocation layouts, scoring the
-// predictions against a dynamic detector run.
+// layout predictor: the compile-time companion to tmirun. It models
+// workloads from one scheduled simulator run each (internal/analysis),
+// verifies the code-centric consistency annotation contract against the
+// Table 2 policy, and predicts falsely-shared cache lines from allocation
+// layouts, scoring the predictions against a dynamic detector run.
 //
 // Usage:
 //

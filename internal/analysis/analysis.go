@@ -1,12 +1,12 @@
 // Package analysis is the static-analysis layer of the reproduction: the
 // compile-time half of TMI that the paper delegates to an LLVM pass (§3.4).
 //
-// It abstractly interprets a workload against the same allocator, address
-// layout and synchronization semantics the simulator uses — but with no
-// timing, caches or page twinning — and builds a static model of the
-// program: for every instruction site, the loads, stores and atomics (with
-// memory orders) executed through it; for every heap and globals cache
-// line, the per-thread byte footprint.
+// It runs a workload once on the simulator itself (core.Run under
+// tmi-alloc or pthreads, a deterministic round-robin schedule, no detector
+// or repair) and records a static model of the program: for every
+// instruction site, the loads, stores and atomics (with memory orders)
+// executed through it; for every heap and globals cache line, the
+// per-thread byte footprint. See build.go.
 //
 // Three consumers sit on top of the model:
 //
@@ -28,6 +28,7 @@ package analysis
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/disasm"
 	"repro/tmi/workload"
 )
@@ -61,18 +62,14 @@ func (e EnvKind) String() string {
 type Options struct {
 	// Threads overrides the workload's default thread count when > 0.
 	Threads int
-	// Seed drives the per-thread deterministic random sources, with the
-	// same derivation the simulator uses, so access footprints match a
-	// dynamic run with the same seed.
+	// Seed is the simulator seed: it drives the per-thread deterministic
+	// random sources, so access footprints match a dynamic run with the
+	// same seed.
 	Seed int64
 	// Env selects the modeled runtime environment (default EnvTMI).
 	Env EnvKind
-	// MaxOps bounds total interpreted operations across all threads
-	// (default 50M); exceeding it aborts with a finding, so a livelocked
-	// workload cannot hang the analysis.
-	MaxOps int64
-	// Trace records the whole-program abstract event trace into Model.Trace
-	// (one entry per byte-addressed access, fence and wake edge, in global
+	// Trace records the whole-program event trace into Model.Trace (one
+	// entry per byte-addressed access, fence and wake edge, in global
 	// interleaving order). The suggest pass consumes it to build the event
 	// graph; off by default because traces are large.
 	Trace bool
@@ -87,9 +84,6 @@ func (o Options) withDefaults(info workload.Info) Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MaxOps <= 0 {
-		o.MaxOps = 50_000_000
 	}
 	return o
 }
@@ -225,54 +219,85 @@ type Model struct {
 	// FenceOps counts executed non-relaxed standalone fences.
 	FenceOps uint64
 
-	// Findings holds interpretation-time findings (unbalanced regions,
-	// deadlock, op-budget exhaustion, validation failure). Verify folds
-	// them in with the site-table findings.
+	// Findings holds run-time findings (unbalanced regions, deadlock,
+	// fault, hang, lock misuse, op-budget exhaustion, validation failure).
+	// Verify folds them in with the site-table findings.
 	Findings []Finding
 
-	// Hung/Aborted record abnormal interpretation endings.
+	// Hung/Aborted record abnormal run endings (Aborted: deadlock or the
+	// op budget).
 	Hung    bool
 	Aborted bool
 
-	// HeapEnd/GlobalsEnd snapshot the allocator bounds after Setup.
-	HeapEnd    uint64
-	GlobalsEnd uint64
-
 	// Notes carries Env.Note values the workload reported.
 	Notes map[string]float64
-	// Ops is the total interpreted operation count.
+	// Ops counts workload.Thread calls across all threads.
 	Ops int64
 
 	// Trace is the abstract event trace (only with Options.Trace).
 	Trace []TraceEvent
 }
 
-// BuildModel abstractly interprets w and returns its static model. The
-// interpretation is deterministic for fixed Options.
+// BuildModel runs w once on the simulator under the model's round-robin
+// schedule and returns its static model. The run is deterministic for
+// fixed Options.
 func BuildModel(w workload.Workload, opt Options) (*Model, error) {
 	info := w.Info()
 	opt = opt.withDefaults(info)
-	in := newInterp(w, info, opt)
-	if err := w.Setup(&ienv{in}); err != nil {
-		return nil, fmt.Errorf("analysis: setup of %s: %w", w.Name(), err)
+	b := &builder{
+		Workload: w,
+		opt:      opt,
+		model: &Model{
+			Workload: w.Name(),
+			Info:     info,
+			Threads:  opt.Threads,
+			Seed:     opt.Seed,
+			Env:      opt.Env,
+			Sites:    make(map[uint64]*SiteModel),
+			Lines:    make(map[uint64]*LineModel),
+		},
+		threads: make([]*thread, opt.Threads),
 	}
-	in.snapshotBounds()
-	in.run()
-	m := in.model
-	m.HeapEnd = in.al.HeapEnd()
-	m.GlobalsEnd = in.al.GlobalsEnd()
-	// Fold the full site table in, so never-executed sites are modeled too.
-	for _, si := range in.prog.Sites() {
+	setup := core.TMIAlloc
+	if opt.Env == EnvPthreads {
+		setup = core.Pthreads
+	}
+	rep, err := core.Run(b, core.Config{
+		Setup: setup, Threads: opt.Threads, Seed: opt.Seed, Scheduler: b, Observer: b,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
+	m := b.model
+	m.Notes = rep.Notes
+	if b.unwound && !b.aborted {
+		b.finding("deadlock", "every live thread is blocked (lost wakeup, lock cycle or barrier party mismatch)")
+	}
+	m.Aborted = b.aborted || b.unwound
+	if !m.Aborted && !rep.Hung && !rep.Validated {
+		b.finding("validate", "validation failed under the model's schedule: "+rep.ValidationErr)
+	}
+	// Fold the full site table in, so never-executed sites are modeled too;
+	// a PC outside it keeps a placeholder and is marked Unknown.
+	names := make(map[uint64]string, len(rep.Sites))
+	for _, si := range rep.Sites {
 		pc := si.Site.PC()
+		names[pc] = si.Name
 		if sm, ok := m.Sites[pc]; ok {
 			sm.Info = si
 		} else {
 			m.Sites[pc] = newSiteModel(si)
 		}
 	}
-	if !in.aborted {
-		if err := w.Validate(&ienv{in}); err != nil {
-			in.finding("validate", "", 0, fmt.Sprintf("validation failed under sequential semantics: %v", err))
+	for pc, sm := range m.Sites {
+		if _, ok := names[pc]; !ok {
+			sm.Info = disasm.SiteInfo{Name: fmt.Sprintf("pc:0x%x", pc), Kind: disasm.KindOther}
+			sm.Unknown = true
+		}
+	}
+	for i := range m.Trace {
+		if ev := &m.Trace[i]; ev.Site == "" && ev.PC != 0 {
+			ev.Site = names[ev.PC]
 		}
 	}
 	return m, nil

@@ -2,7 +2,7 @@ package analysis
 
 // The suggest pass: static fence/annotation repair over C11-style orderings.
 //
-// Given a workload, Suggest abstractly interprets it (Options.Trace), finds
+// Given a workload, Suggest builds its model (Options.Trace), finds
 // the two classes of consistency defects the model exposes, and solves for a
 // small repair set in the programmer's vocabulary:
 //
@@ -20,7 +20,7 @@ package analysis
 //     (plain endpoints, or a store→load edge), insert a standalone fence —
 //     seq_cst for store→load, per Alglave et al.'s fence-insertion rules.
 //
-// Repair → re-interpret → repeat, until the model is clean or the round
+// Repair → re-run → repeat, until the model is clean or the round
 // budget is spent; then minimize: greedily drop suggestions whose removal
 // keeps the model clean, and weaken orderings to the weakest level that
 // stays clean. The result is locally minimal: removing or weakening any
@@ -34,8 +34,8 @@ import (
 	"repro/tmi/workload"
 )
 
-// Factory builds a fresh workload instance; Suggest re-interprets the
-// program several times and workloads carry state.
+// Factory builds a fresh workload instance; Suggest re-runs the program
+// several times and workloads carry state.
 type Factory func() (workload.Workload, error)
 
 // Suggestion is one proposed repair, with the evidence that produced it.
@@ -49,7 +49,7 @@ type SuggestResult struct {
 	Workload string
 	// Suggestions is the minimized repair set, sorted by site.
 	Suggestions []Suggestion
-	// Rounds is how many repair→re-interpret iterations ran.
+	// Rounds is how many repair→re-run iterations ran.
 	Rounds int
 	// Clean reports whether the fully repaired model has no races and no
 	// unenforced critical-cycle delays.

@@ -37,8 +37,8 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: [%s] %s", f.Workload, f.Rule, f.Detail)
 }
 
-// Verify checks the model and returns all findings, interpretation-time
-// ones included, in deterministic order. An empty slice means the workload
+// Verify checks the model and returns all findings, run-time ones
+// included, in deterministic order. An empty slice means the workload
 // honors the annotation contract.
 func Verify(m *Model) []Finding {
 	out := append([]Finding(nil), m.Findings...)

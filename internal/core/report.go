@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/detect"
+	"repro/internal/disasm"
 	"repro/internal/repair"
 	"repro/internal/sim/cache"
 	"repro/internal/sim/trace"
@@ -96,6 +97,10 @@ type Report struct {
 	// capped; the count is complete).
 	SanitizerViolations uint64
 	SanitizerDetails    []string
+
+	// Sites is the run's instruction-site table: every site the workload
+	// and the runtime library registered, executed or not, in PC order.
+	Sites []disasm.SiteInfo
 
 	Cache cache.Stats
 }

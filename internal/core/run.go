@@ -669,6 +669,7 @@ func (rt *runtime) execute(w workload.Workload) (*Report, error) {
 		rep.SanitizerViolations = rt.san.violations
 		rep.SanitizerDetails = rt.san.details
 	}
+	rep.Sites = rt.prog.Sites()
 	rep.Layout = rt.layout()
 	rep.Events = rt.events
 	rep.Timeline = rt.timeline

@@ -8,8 +8,8 @@ import (
 )
 
 // staticLayout scores the tmilint layout predictor against the dynamic
-// PEBS/HITM detector across the repair suite: the static model abstractly
-// interprets each workload to exact per-thread line footprints, while the
+// PEBS/HITM detector across the repair suite: the static model records
+// each workload's exact per-thread line footprints, while the
 // dynamic run samples real accesses. Recall of the dynamically detected
 // false-sharing lines should be 1.0 (the model sees every access the
 // sampler can only sample); precision can drop below 1.0 on lines too cold

@@ -171,7 +171,7 @@ type Hooks struct {
 // interleaving is exactly the sequence of Pick results, which is what lets
 // a model checker enumerate schedules. Returning nil abandons the run: the
 // machine aborts with ErrScheduleAbandoned (how DPOR prunes sleep-blocked
-// interleavings).
+// interleavings). The ready slice is reused: it is valid only during Pick.
 type Scheduler interface {
 	Pick(ready []*Thread) *Thread
 }
@@ -259,6 +259,11 @@ type Machine struct {
 
 	timers  timerHeap
 	started bool
+	// ready is readyThreads' reused buffer. picked/hasPick carry a Pick a
+	// yielding thread already made to the driver (see yield).
+	ready   []*Thread
+	picked  *Thread
+	hasPick bool
 	failure error
 	aborted atomic.Bool
 
@@ -449,6 +454,10 @@ func (m *Machine) Run(bodies []func(*Thread)) error {
 // external Scheduler picks, with no slack batching). Returning nil ends the
 // run.
 func (m *Machine) scheduleNext(prev *Thread) *Thread {
+	if m.hasPick {
+		m.hasPick = false
+		return m.adopt(m.picked)
+	}
 	for {
 		next := m.minReady()
 		// Fire timers due before the next thread would run. Timers advance
@@ -481,15 +490,7 @@ func (m *Machine) scheduleNext(prev *Thread) *Thread {
 			return nil
 		}
 		if m.sched != nil {
-			picked := m.sched.Pick(m.readyThreads())
-			if picked == nil {
-				if m.failure == nil {
-					m.failure = ErrScheduleAbandoned
-				}
-				m.aborted.Store(true)
-				return nil
-			}
-			return picked
+			return m.adopt(m.sched.Pick(m.readyThreads()))
 		}
 		// Slack: the previous holder keeps the token while within schedSlack
 		// cycles of the true minimum. schedSlack is below every coherence
@@ -502,6 +503,17 @@ func (m *Machine) scheduleNext(prev *Thread) *Thread {
 	}
 }
 
+// adopt runs the external Scheduler's pick, or abandons the run on nil.
+func (m *Machine) adopt(picked *Thread) *Thread {
+	if picked == nil {
+		if m.failure == nil {
+			m.failure = ErrScheduleAbandoned
+		}
+		m.aborted.Store(true)
+	}
+	return picked
+}
+
 // yield is a thread-side scheduling point: hand the token back to the
 // driver unless the thread may keep running.
 //
@@ -510,15 +522,27 @@ func (m *Machine) scheduleNext(prev *Thread) *Thread {
 // timer heap happened either on this goroutine or before a coroutine switch
 // (which is a happens-before edge). The thread keeps the token while it is
 // still minimal (within schedSlack) and no timer is due — no driver round
-// trip at all. With an external Scheduler there is no fast path: every
-// yield is a scheduling point.
+// trip at all. With an external Scheduler every yield is a scheduling
+// point, but while no timer is due the thread calls Pick itself, exactly
+// as the driver would: it keeps running when Pick returns it, and hands
+// any other pick (or nil) to the driver.
 func (m *Machine) yield(t *Thread) {
-	if m.sched == nil && !m.aborted.Load() && t.state == Ready {
-		next := m.minReady()
-		if next != nil &&
-			(len(m.timers) == 0 || m.timers[0].at > next.clock) &&
-			(next == t || t.clock <= next.clock+schedSlack) {
-			return // keep the token: still minimal (within slack), no timer due
+	if m.sched == nil {
+		if !m.aborted.Load() && t.state == Ready {
+			next := m.minReady()
+			if next != nil &&
+				(len(m.timers) == 0 || m.timers[0].at > next.clock) &&
+				(next == t || t.clock <= next.clock+schedSlack) {
+				return // keep the token: still minimal (within slack), no timer due
+			}
+		}
+	} else if !m.aborted.Load() {
+		if next := m.minReady(); next != nil && (len(m.timers) == 0 || m.timers[0].at > next.clock) {
+			picked := m.sched.Pick(m.readyThreads())
+			if picked == t {
+				return
+			}
+			m.picked, m.hasPick = picked, true
 		}
 	}
 	if !t.yieldTok(struct{}{}) {
@@ -557,15 +581,16 @@ func (m *Machine) minReady() *Thread {
 	return best
 }
 
-// readyThreads returns the runnable threads in ID order.
+// readyThreads returns the runnable threads in ID order, in a buffer the
+// next call overwrites.
 func (m *Machine) readyThreads() []*Thread {
-	var out []*Thread
+	m.ready = m.ready[:0]
 	for _, th := range m.threads {
 		if th.state == Ready {
-			out = append(out, th)
+			m.ready = append(m.ready, th)
 		}
 	}
-	return out
+	return m.ready
 }
 
 // checkAbort panics out of a thread body when the machine has been aborted

@@ -1,8 +1,8 @@
 // Package srcvet is the source-level false-sharing analyzer: it points
 // TMI's detect→repair loop at real Go packages that have never executed.
 //
-// Where tmilint (internal/analysis) abstractly interprets programs written
-// against the internal workload DSL, srcvet type-checks arbitrary Go source
+// Where tmilint (internal/analysis) models programs written against the
+// internal workload DSL by running them, srcvet type-checks arbitrary Go source
 // with go/types, computes exact field offsets and sizes under
 // types.StdSizes{WordSize: 8, MaxAlign: 8}, and maps every struct and
 // written region onto 64-byte cache lines — the layout pass. An ownership

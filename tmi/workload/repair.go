@@ -130,7 +130,7 @@ type siteRepair struct {
 // RepairOrder strengthens orders, and the fence kinds splice standalone
 // fences around the site's accesses. Sites not named by any repair are
 // untouched. The wrapper is pure workload-level, so both the model checker
-// and the abstract interpreter can run the repaired program unchanged.
+// and tmilint's model build can run the repaired program unchanged.
 func Repaired(w Workload, repairs []Repair) Workload {
 	if len(repairs) == 0 {
 		return w
