@@ -1,7 +1,9 @@
 # Build, test and lint entry points. `make check` is the gate a PR must
 # pass: tier-1 build+test, lint (gofmt, go vet, and tmilint's static
 # annotation verification of the whole workload catalog, its output
-# byte-identical to testdata/tmilint_golden.txt), race-harness
+# byte-identical to testdata/tmilint_golden.txt, plus the misannotated
+# fixture, which must exit 1 with exactly its two unannotated-atomic
+# findings), race-harness
 # (the sweep executor and the tmid service are where real host-level
 # concurrency lives, so their tests run under the race detector), mc
 # (tmimc's exhaustive model-checking of the litmus kernels, plus the two
@@ -229,13 +231,24 @@ suggest:
 # lint gates tmilint's whole report, not just its exit status: the
 # catalog's per-workload site, line and op counts and the default
 # predictions must stay byte-identical to testdata/tmilint_golden.txt.
+# Its negative half runs the misannotated fixture (an atomic reached by
+# plain accesses, as if the annotation pass skipped its translation unit):
+# tmilint must exit 1 with exactly two unannotated-atomic findings, one per
+# seeded site, so a checker that goes blind fails the gate too.
 lint: fmt vet
-	@tmp=$$(mktemp); \
-	$(GO) run ./cmd/tmilint > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
-	if ! diff -u testdata/tmilint_golden.txt $$tmp; then \
-		echo "lint: tmilint output diverged from testdata/tmilint_golden.txt"; rm -f $$tmp; exit 1; \
-	fi; \
-	rm -f $$tmp; echo "lint: tmilint output matches golden"
+	@dir=$$(mktemp -d); rc=1; \
+	$(GO) build -o $$dir/tmilint ./cmd/tmilint && \
+	{ $$dir/tmilint > $$dir/catalog.txt || { cat $$dir/catalog.txt; false; }; } && \
+	{ diff -u testdata/tmilint_golden.txt $$dir/catalog.txt || \
+		{ echo "lint: tmilint output diverged from testdata/tmilint_golden.txt"; false; }; } && \
+	echo "lint: tmilint output matches golden" && \
+	{ $$dir/tmilint -predict none -workloads misannotated > $$dir/fixture.txt; test $$? -eq 1 || \
+		{ cat $$dir/fixture.txt; echo "lint: tmilint must exit 1 on the misannotated fixture"; false; }; } && \
+	{ grep -F '[unannotated-atomic]' $$dir/fixture.txt | grep -o 'site "[^"]*"' > $$dir/sites.txt || true; } && \
+	{ printf 'site "misannotated.gen_read"\nsite "misannotated.gen_bump"\n' | diff -u - $$dir/sites.txt || \
+		{ echo "lint: want one unannotated-atomic finding each for gen_read and gen_bump"; false; }; } && \
+	rc=0 && echo "lint: misannotated fixture flagged at gen_read and gen_bump"; \
+	rm -rf $$dir; exit $$rc
 
 ci: build test vet vet-src lint
 

@@ -40,7 +40,6 @@ func main() {
 		threads    = flag.Int("threads", 0, "override thread count")
 		period     = flag.Int("period", 100, "perf sampling period")
 		huge       = flag.Bool("hugepages", false, "back shared memory with 2 MiB pages")
-		noCCC      = flag.Bool("no-ccc", false, "disable code-centric consistency (unsound; for experiments)")
 		everywhere = flag.Bool("ptsb-everywhere", false, "arm the PTSB on the whole heap at first repair")
 		seed       = flag.Int64("seed", 1, "determinism seed")
 		list       = flag.Bool("list", false, "list workloads and exit")
@@ -49,7 +48,6 @@ func main() {
 		adaptive   = flag.Bool("adaptive", false, "adaptive sampling period (extension)")
 		teardown   = flag.Int("teardown", 0, "un-repair pages idle for N detection intervals (extension; 0=off)")
 		timeline   = flag.Bool("timeline", false, "print the per-interval HITM-rate timeline")
-		sanitize   = flag.Bool("sanitize", false, "assert the CCC annotation contract at runtime (tmilint's dynamic half)")
 		backend    = flag.String("backend", "", "repair backend for tmi-protect: t2p (default), pad, map, or tmebox")
 		sockets    = flag.Int("sockets", 0, "split cores across N sockets with home-node directory and remote-access penalties (0/1 = flat)")
 	)
@@ -80,9 +78,9 @@ func main() {
 
 	rep, err := tmi.Run(w, tmi.Config{
 		System: sys, Threads: *threads, Period: *period, HugePages: *huge,
-		DisableCCC: *noCCC, PTSBEverywhere: *everywhere, Seed: *seed,
+		PTSBEverywhere: *everywhere, Seed: *seed,
 		AdaptivePeriod: *adaptive, TeardownIdleIntervals: *teardown,
-		Sanitize: *sanitize, RepairBackend: *backend, Sockets: *sockets,
+		RepairBackend: *backend, Sockets: *sockets,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tmirun:", err)
@@ -110,16 +108,6 @@ func main() {
 		fmt.Printf("ccc flushes     %d\n", rep.CCCFlushes)
 	} else {
 		fmt.Printf("repaired        no\n")
-	}
-	if *sanitize {
-		if rep.SanitizerViolations == 0 {
-			fmt.Printf("sanitizer       clean\n")
-		} else {
-			fmt.Printf("sanitizer       %d violation(s)\n", rep.SanitizerViolations)
-			for _, d := range rep.SanitizerDetails {
-				fmt.Println("  ", d)
-			}
-		}
 	}
 	if rep.Hung {
 		fmt.Printf("HUNG            %s\n", rep.HangReason)
@@ -154,9 +142,6 @@ func main() {
 		}
 	}
 	if !rep.Validated && !rep.Hung {
-		os.Exit(1)
-	}
-	if *sanitize && rep.SanitizerViolations > 0 {
 		os.Exit(1)
 	}
 }

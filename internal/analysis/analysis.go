@@ -21,8 +21,13 @@
 //     detector (internal/detect) would — two or more threads, at least one
 //     writer, disjoint bytes — and reports precision/recall against a
 //     dynamic run.
-//   - The dynamic sanitizer (internal/core, Config.Sanitize) cross-checks
-//     the same contract at simulation time through machine.Hooks.
+//   - Suggest solves, from the model's trace, for a small repair set
+//     (atomic annotations, ordering upgrades, fence insertions) that removes
+//     the workload's data races and critical-cycle delays. See suggest.go.
+//
+// Verify is the annotation contract's only checker: core brackets every
+// application atomic and fence with region callbacks itself, so a workload
+// can break the contract only through the sites its model run reaches.
 package analysis
 
 import (

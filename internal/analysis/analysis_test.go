@@ -61,38 +61,6 @@ func TestFixtureFlaggedStatically(t *testing.T) {
 	}
 }
 
-// TestFixtureCaughtDynamically runs the fixture under the sanitizer and
-// expects runtime violations, and runs a clean workload expecting none —
-// the static and dynamic checkers must agree on both sides.
-func TestFixtureCaughtDynamically(t *testing.T) {
-	w, err := workloads.ByName("misannotated")
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
-	}
-	rep, err := tmi.Run(w, tmi.Config{System: tmi.TMIDetect, Sanitize: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if rep.SanitizerViolations == 0 {
-		t.Fatal("sanitizer reported no violations on the misannotated fixture")
-	}
-	if len(rep.SanitizerDetails) == 0 || !strings.Contains(rep.SanitizerDetails[0], "plain access through atomic instruction site") {
-		t.Fatalf("unexpected sanitizer details: %v", rep.SanitizerDetails)
-	}
-
-	clean, err := workloads.ByName("histogramfs")
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
-	}
-	crep, err := tmi.Run(clean, tmi.Config{System: tmi.TMIDetect, Sanitize: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if crep.SanitizerViolations != 0 {
-		t.Fatalf("sanitizer flagged a clean workload: %v", crep.SanitizerDetails)
-	}
-}
-
 // TestDeterministic checks that two builds of the same model agree.
 func TestDeterministic(t *testing.T) {
 	build := func() *analysis.Model {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/disasm"
+	"repro/internal/psync"
 	"repro/internal/sim/machine"
 	"repro/tmi/workload"
 )
@@ -204,16 +205,11 @@ func (t *thread) finish() {
 	r := recover()
 	switch v := r.(type) {
 	case nil, abandon:
-	case string:
-		switch {
-		case strings.HasPrefix(v, "machine: unhandled"):
-			t.b.finding("fault", fmt.Sprintf("thread %d: %s; abandoning the thread",
-				t.id, strings.TrimPrefix(v, "machine: ")))
-		case strings.HasPrefix(v, "psync: "):
-			t.b.finding("lock-misuse", fmt.Sprintf("thread %d: %s", t.id, strings.TrimPrefix(v, "psync: ")))
-		default:
-			panic(r)
-		}
+	case machine.UnhandledFault:
+		t.b.finding("fault", fmt.Sprintf("thread %d: %s; abandoning the thread",
+			t.id, strings.TrimPrefix(v.Error(), "machine: ")))
+	case psync.Misuse:
+		t.b.finding("lock-misuse", fmt.Sprintf("thread %d: %s", t.id, string(v)))
 	default:
 		if !t.hung {
 			t.b.unwound = true

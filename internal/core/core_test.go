@@ -54,12 +54,9 @@ func TestConfigDefaults(t *testing.T) {
 	if c.ThresholdPerSec != 100_000 {
 		t.Errorf("default threshold %f, want 100000", c.ThresholdPerSec)
 	}
-	if c.DetectIntervalSec != 1.0 {
-		t.Errorf("default interval %f, want 1.0", c.DetectIntervalSec)
-	}
 	// Explicit values survive.
-	c = Config{Period: 7, ThresholdPerSec: 5, DetectIntervalSec: 0.5}.withDefaults()
-	if c.Period != 7 || c.ThresholdPerSec != 5 || c.DetectIntervalSec != 0.5 {
+	c = Config{Period: 7, ThresholdPerSec: 5}.withDefaults()
+	if c.Period != 7 || c.ThresholdPerSec != 5 {
 		t.Error("explicit config values overwritten")
 	}
 }

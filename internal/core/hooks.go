@@ -7,19 +7,15 @@ import (
 	"repro/internal/sim/machine"
 )
 
-// This file fixes the runtime's hook-chain composition. Hooks used to be
-// composed by nested closure wrapping, so the invocation order depended on
-// the textual order the wrapping happened in — adding a new subsystem (the
-// sanitizer, then the model-checker observer) silently reshuffled who saw
-// an event first, and region exit did not unwind in reverse of region
-// enter. Chains are now built from declared layers sorted by a fixed
-// priority, so composition is deterministic regardless of the order layers
-// are registered in:
+// This file fixes the runtime's hook-chain composition. Chains are built
+// from declared layers sorted by a fixed priority, so which layer sees an
+// event first does not depend on the order the layers are registered in,
+// and region exit unwinds in reverse of region enter:
 //
-//	region enter:  tracer → sanitizer → observer → controller (CCC)
-//	region exit:   controller → observer → sanitizer → tracer (reverse)
-//	post-access:   tracer → sanitizer → observer → controller (costs sum)
-//	value/sync/wake: tracer → sanitizer → observer → controller
+//	region enter:  tracer → observer → controller (CCC)
+//	region exit:   controller → observer → tracer (reverse)
+//	post-access:   tracer → observer → controller (costs sum)
+//	value/sync/wake: tracer → observer → controller
 //
 // The tracer is outermost so the trace brackets everything the other
 // layers do; the CCC controller is innermost because it owns the semantics
@@ -31,7 +27,6 @@ type layerPriority int
 
 const (
 	layerTracer layerPriority = iota
-	layerSanitizer
 	layerObserver
 	layerController
 )
@@ -184,17 +179,6 @@ func (rt *runtime) buildLayers() []hookLayer {
 		postAccess:  rt.postAccess,
 		onSync:      rt.commitSync,
 	})
-	if rt.san != nil {
-		layers = append(layers, hookLayer{
-			prio:        layerSanitizer,
-			regionEnter: rt.san.enter,
-			regionExit:  rt.san.exit,
-			postAccess: func(t *machine.Thread, acc *machine.Access, res cache.Result) int64 {
-				rt.san.onAccess(t, acc)
-				return 0
-			},
-		})
-	}
 	if rt.cfg.Observer != nil {
 		obs := rt.cfg.Observer
 		layers = append(layers, hookLayer{

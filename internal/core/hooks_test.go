@@ -9,10 +9,10 @@ import (
 )
 
 // TestHookChainOrderIsDeterministic pins the canonical hook-chain order:
-// enter-like events flow tracer → sanitizer → observer → controller, region
-// exit unwinds in exact reverse, and the order must not depend on the order
-// layers were registered in. This is the contract that lets the sanitizer
-// and the model-checker observer coexist: each sees a consistent view no
+// enter-like events flow tracer → observer → controller, region exit
+// unwinds in exact reverse, and the order must not depend on the order
+// layers were registered in. This is the contract that lets the tracer and
+// the model-checker observer coexist: each sees a consistent view no
 // matter which Config flags are set.
 func TestHookChainOrderIsDeterministic(t *testing.T) {
 	var log []string
@@ -36,23 +36,22 @@ func TestHookChainOrderIsDeterministic(t *testing.T) {
 	}
 	layers := map[string]hookLayer{
 		"tracer":     mk("tracer", layerTracer),
-		"sanitizer":  mk("sanitizer", layerSanitizer),
 		"observer":   mk("observer", layerObserver),
 		"controller": mk("controller", layerController),
 	}
 
 	// Every registration order must produce the same invocation sequence.
 	registrationOrders := [][]string{
-		{"tracer", "sanitizer", "observer", "controller"},
-		{"controller", "observer", "sanitizer", "tracer"},
-		{"observer", "tracer", "controller", "sanitizer"},
-		{"sanitizer", "controller", "tracer", "observer"},
+		{"tracer", "observer", "controller"},
+		{"controller", "observer", "tracer"},
+		{"observer", "tracer", "controller"},
+		{"controller", "tracer", "observer"},
 	}
 	const (
-		wantEnter = "tracer.enter sanitizer.enter observer.enter controller.enter"
-		wantExit  = "controller.exit observer.exit sanitizer.exit tracer.exit"
-		wantPost  = "tracer.post sanitizer.post observer.post controller.post"
-		wantSync  = "tracer.sync sanitizer.sync observer.sync controller.sync"
+		wantEnter = "tracer.enter observer.enter controller.enter"
+		wantExit  = "controller.exit observer.exit tracer.exit"
+		wantPost  = "tracer.post observer.post controller.post"
+		wantSync  = "tracer.sync observer.sync controller.sync"
 	)
 	for _, order := range registrationOrders {
 		var in []hookLayer
@@ -72,8 +71,8 @@ func TestHookChainOrderIsDeterministic(t *testing.T) {
 			t.Errorf("registration %v: exit order %q, want %q", order, got, wantExit)
 		}
 		log = nil
-		if cost := c.postAccess(nil, nil, cache.Result{}); cost != 4 {
-			t.Errorf("registration %v: postAccess cost %d, want sum 4", order, cost)
+		if cost := c.postAccess(nil, nil, cache.Result{}); cost != 3 {
+			t.Errorf("registration %v: postAccess cost %d, want sum 3", order, cost)
 		}
 		if got := strings.Join(log, " "); got != wantPost {
 			t.Errorf("registration %v: post order %q, want %q", order, got, wantPost)

@@ -92,12 +92,6 @@ type Report struct {
 	// Config.CaptureSamples was set.
 	SampleLog *trace.SampleLog
 
-	// SanitizerViolations/SanitizerDetails report annotation-contract
-	// violations caught at runtime when Config.Sanitize was set (details
-	// capped; the count is complete).
-	SanitizerViolations uint64
-	SanitizerDetails    []string
-
 	// Sites is the run's instruction-site table: every site the workload
 	// and the runtime library registered, executed or not, in PC order.
 	Sites []disasm.SiteInfo

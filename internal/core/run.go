@@ -85,7 +85,6 @@ type runtime struct {
 	mon         *perfev.Monitor
 	det         *detect.Detector
 	maps        *osim.AddressMap
-	san         *sanitizer
 
 	laserEnabled   bool
 	laserRepaired  bool
@@ -212,8 +211,7 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 	}
 
 	rt.ptsbE = ptsb.NewEngine(rt.memory, rt.sharedView)
-	cccEnabled := cfg.Setup.IsTMI() && !cfg.DisableCCC
-	rt.cccCtl = ccc.NewController(cccEnabled, rt.sharedView, rt.ptsbE)
+	rt.cccCtl = ccc.NewController(cfg.Setup.IsTMI(), rt.sharedView, rt.ptsbE)
 	rt.repairE = repair.New(rt.osys, rt.app, rt.mc, rt.ptsbE)
 	rt.repairE.Everywhere = cfg.PTSBEverywhere
 	rt.repairE.HeapPages = rt.heapPages
@@ -243,12 +241,9 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 	if cfg.Trace {
 		rt.tracer = trace.NewRecorder(1 << 16)
 	}
-	if cfg.Sanitize {
-		rt.san = newSanitizer(rt.prog, threads)
-	}
 	// Hook chains compose from declared layers in a fixed priority order
-	// (see hooks.go), so sanitizer, tracer and observer interleave
-	// deterministically no matter which configuration flags are set.
+	// (see hooks.go), so tracer and observer interleave deterministically
+	// no matter which configuration flags are set.
 	rt.accScratch = make([]AccessInfo, threads)
 	rt.hooksC = composeLayers(rt.buildLayers())
 	rt.mc.SetHooks(machine.Hooks{
@@ -288,7 +283,7 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 			rt.sampleLog = &trace.SampleLog{PageSize: pageSize}
 			rt.det.SetTap(rt.sampleLog)
 		}
-		interval := int64(cfg.DetectIntervalSec * cache.ClockHz)
+		interval := int64(detectInterval * cache.ClockHz)
 		rt.mc.AddTimer(interval, interval, rt.detectTick)
 	}
 	rt.laserEnabled = cfg.Setup == LASER && !info.SyncHeavy
@@ -373,7 +368,7 @@ func (rt *runtime) layout() []string {
 }
 
 // onSync is psync's synchronization-boundary hook; it dispatches through
-// the composed chain (tracer → sanitizer → observer → controller).
+// the composed chain (tracer → observer → controller).
 func (rt *runtime) onSync(t *machine.Thread) {
 	rt.hooksC.onSync(t)
 }
@@ -496,7 +491,7 @@ func (rt *runtime) adaptPeriod(windowRecords uint64) {
 
 func (rt *runtime) detectTick(now int64) {
 	recordsBefore := rt.det.TotalRecords
-	req := rt.det.Tick(rt.cfg.DetectIntervalSec)
+	req := rt.det.Tick(detectInterval)
 	if rt.cfg.AdaptivePeriod {
 		rt.adaptPeriod(rt.det.TotalRecords - recordsBefore)
 	}
@@ -600,7 +595,7 @@ func (rt *runtime) sampleInterval(now int64) {
 	}
 	rt.timeline = append(rt.timeline, IntervalSample{
 		AtSec:          float64(now) / cache.ClockHz,
-		HITMPerSec:     float64(hitm-rt.lastHITM) / rt.cfg.DetectIntervalSec,
+		HITMPerSec:     float64(hitm-rt.lastHITM) / detectInterval,
 		RecordsInTick:  recs - rt.lastRecords,
 		PagesProtected: rt.ptsbE.ProtectedPages(),
 	})
@@ -663,11 +658,6 @@ func (rt *runtime) execute(w workload.Workload) (*Report, error) {
 		sort.Slice(rep.Lines, func(i, j int) bool { return rep.Lines[i].Line < rep.Lines[j].Line })
 		rep.PredictedManualSpeedup = h.PredictManualSpeedup(rt.mon.Period(), rt.mc.Elapsed(), rt.threads)
 		rep.LineSizePredictions = h.PredictLineSizes()
-	}
-	if rt.san != nil {
-		rt.san.finish()
-		rep.SanitizerViolations = rt.san.violations
-		rep.SanitizerDetails = rt.san.details
 	}
 	rep.Sites = rt.prog.Sites()
 	rep.Layout = rt.layout()

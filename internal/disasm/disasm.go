@@ -71,8 +71,8 @@ type SiteInfo struct {
 	// Runtime marks a site that belongs to the runtime library (psync's
 	// lock words and barriers) rather than to application code. The paper's
 	// LLVM pass instruments only the application; runtime-internal atomics
-	// execute below the annotation layer, so the static verifier and the
-	// dynamic sanitizer exempt them from region-enclosure checks.
+	// execute below the annotation layer, so the annotation verifier
+	// (internal/analysis) exempts them from region-enclosure checks.
 	Runtime bool
 }
 

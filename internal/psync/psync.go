@@ -28,6 +28,13 @@ import (
 	"repro/internal/sim/mem"
 )
 
+// Misuse is the panic value of a synchronization object used against its
+// contract (an unlock by a non-owner, a barrier of no parties, a lock word
+// outside mapped memory).
+type Misuse string
+
+func (m Misuse) Error() string { return "psync: " + string(m) }
+
 // Tuning constants (cycles).
 const (
 	// SpinPause is the cost of one spin-wait iteration.
@@ -134,7 +141,7 @@ func (m *Manager) NewMutex(name string, appAddr uint64) *Mutex {
 		// pthread_mutex_init wrapper, at zero simulated cost).
 		tr, fault := m.space.Translate(appAddr, true)
 		if fault != nil {
-			panic(fmt.Sprintf("psync: mutex word unmapped: %v", fault))
+			panic(Misuse(fmt.Sprintf("mutex word unmapped: %v", fault)))
 		}
 		mem.StoreUint(tr, 8, mu.objAddr)
 	}
@@ -177,7 +184,7 @@ func (mu *Mutex) Lock(t *machine.Thread) {
 // Unlock releases the mutex and wakes one blocked waiter, if any.
 func (mu *Mutex) Unlock(t *machine.Thread) {
 	if mu.owner != t {
-		panic(fmt.Sprintf("psync: unlock of %q by non-owner thread %d", mu.name, t.ID))
+		panic(Misuse(fmt.Sprintf("unlock of %q by non-owner thread %d", mu.name, t.ID)))
 	}
 	mu.mgr.sync(t)
 	addr := mu.target(t)
@@ -204,7 +211,7 @@ type Barrier struct {
 // NewBarrier creates a barrier for the given number of parties.
 func (m *Manager) NewBarrier(name string, parties int) *Barrier {
 	if parties < 1 {
-		panic("psync: barrier needs at least one party")
+		panic(Misuse("barrier needs at least one party"))
 	}
 	return &Barrier{mgr: m, objAddr: m.allocObject(), parties: parties}
 }

@@ -134,6 +134,27 @@ func TestUnlockByNonOwnerPanics(t *testing.T) {
 	}
 }
 
+// TestMisusePanicIsTyped: a contract violation panics with a Misuse, and the
+// run's error keeps its message.
+func TestMisusePanicIsTyped(t *testing.T) {
+	f := newFixture(t, 1, true, Hooks{})
+	mu := f.mgr.NewMutex("m", heapBase)
+	var got any
+	err := f.mc.Run([]func(*machine.Thread){func(th *machine.Thread) {
+		defer func() {
+			got = recover()
+			panic(got)
+		}()
+		mu.Unlock(th)
+	}})
+	if _, ok := got.(Misuse); !ok {
+		t.Fatalf("panic value %#v, want a Misuse", got)
+	}
+	if want := `machine: thread 0 panic: psync: unlock of "m" by non-owner thread 0`; err == nil || err.Error() != want {
+		t.Fatalf("run error %v, want %q", err, want)
+	}
+}
+
 func TestSyncHookFiresAtBoundaries(t *testing.T) {
 	calls := 0
 	f := newFixture(t, 1, true, Hooks{OnSync: func(*machine.Thread) { calls++ }})

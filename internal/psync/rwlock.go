@@ -46,7 +46,7 @@ func (m *Manager) NewRWMutex(name string, appAddr uint64) *RWMutex {
 		rw.objAddr = m.allocObject()
 		tr, fault := m.space.Translate(appAddr, true)
 		if fault != nil {
-			panic(fmt.Sprintf("psync: rwlock word unmapped: %v", fault))
+			panic(Misuse(fmt.Sprintf("rwlock word unmapped: %v", fault)))
 		}
 		writePointer(tr, rw.objAddr)
 	}
@@ -96,7 +96,7 @@ func (rw *RWMutex) RLock(t *machine.Thread) {
 // RUnlock releases a read hold.
 func (rw *RWMutex) RUnlock(t *machine.Thread) {
 	if rw.readers <= 0 {
-		panic(fmt.Sprintf("psync: RUnlock of %q without readers", rw.name))
+		panic(Misuse(fmt.Sprintf("RUnlock of %q without readers", rw.name)))
 	}
 	rw.mgr.sync(t)
 	addr := rw.target(t)
@@ -134,7 +134,7 @@ func (rw *RWMutex) Lock(t *machine.Thread) {
 // all waiting readers wake together.
 func (rw *RWMutex) Unlock(t *machine.Thread) {
 	if rw.writer != t {
-		panic(fmt.Sprintf("psync: Unlock of %q by non-writer thread %d", rw.name, t.ID))
+		panic(Misuse(fmt.Sprintf("Unlock of %q by non-writer thread %d", rw.name, t.ID)))
 	}
 	rw.mgr.sync(t)
 	addr := rw.target(t)

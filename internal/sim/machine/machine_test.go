@@ -182,6 +182,28 @@ func TestBodyPanicReported(t *testing.T) {
 	}
 }
 
+// TestUnhandledFaultPanicIsTyped: an access no OnFault hook handles panics
+// with an UnhandledFault, and the run's error keeps the fault's message.
+func TestUnhandledFaultPanicIsTyped(t *testing.T) {
+	mc, _ := newMachine(t, 1)
+	var got any
+	err := mc.Run([]func(*Thread){func(th *Thread) {
+		defer func() {
+			got = recover()
+			panic(got)
+		}()
+		th.Load(7, 0x40, 8)
+	}})
+	f, ok := got.(UnhandledFault)
+	if !ok || f.Thread != 0 || f.PC != 7 || f.Fault == nil {
+		t.Fatalf("panic value %#v, want an UnhandledFault of thread 0 at pc 7", got)
+	}
+	if err == nil || !strings.HasPrefix(err.Error(), "machine: thread 0 panic: machine: unhandled ") ||
+		!strings.HasSuffix(err.Error(), " by thread 0 (pc=0x7)") {
+		t.Fatalf("run error %v, want the unhandled-fault message", err)
+	}
+}
+
 func TestFaultHookRetries(t *testing.T) {
 	m := mem.NewMemory(mem.PageSize4K)
 	f := m.NewFile("shm")

@@ -169,6 +169,18 @@ func (t *Thread) onValue(acc *Access, val uint64) {
 	}
 }
 
+// UnhandledFault is the panic value of an access whose fault no OnFault
+// hook handled: the simulated program crashed at PC.
+type UnhandledFault struct {
+	Fault  *mem.Fault
+	Thread int
+	PC     uint64
+}
+
+func (f UnhandledFault) Error() string {
+	return fmt.Sprintf("machine: unhandled %v by thread %d (pc=0x%x)", f.Fault, f.Thread, f.PC)
+}
+
 // access resolves and executes one memory access: address-space selection,
 // fault handling with one retry, coherence simulation, first-touch cost and
 // post-access sampling. It returns the total latency and the translation the
@@ -193,7 +205,7 @@ func (t *Thread) access(acc *Access) (int64, mem.Translation) {
 			}
 		}
 		if fault != nil {
-			panic(fmt.Sprintf("machine: unhandled %v by thread %d (pc=0x%x)", fault, t.ID, acc.PC))
+			panic(UnhandledFault{Fault: fault, Thread: t.ID, PC: acc.PC})
 		}
 	}
 	if tr.FirstTouch || tr.CowCopied {

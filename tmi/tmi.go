@@ -80,9 +80,6 @@ type Config struct {
 	Period int
 	// HugePages backs shared memory with 2 MiB pages (§4.4).
 	HugePages bool
-	// DisableCCC turns code-centric consistency off; with the PTSB active
-	// this is unsound by design and exists for the consistency experiments.
-	DisableCCC bool
 	// PTSBEverywhere arms the whole heap at first repair (§4.3 ablation).
 	PTSBEverywhere bool
 	// RepairBackend selects the repair strategy for TMIProtect runs: ""
@@ -97,10 +94,6 @@ type Config struct {
 	Sockets int
 	// ThresholdPerSec overrides the detector's repair threshold.
 	ThresholdPerSec float64
-	// DetectIntervalSec overrides the detection analysis period. The
-	// default (DefaultDetectInterval) is the paper's once-per-second
-	// analysis scaled to this reproduction's compressed timescale.
-	DetectIntervalSec float64
 	// Seed fixes determinism (default 1).
 	Seed int64
 	// CacheLines bounds each core's private cache in lines (FIFO eviction);
@@ -119,18 +112,7 @@ type Config struct {
 	// window boundaries into Report.SampleLog — a replayable HITM trace
 	// (the input format of cmd/tmiload and tmidetect -advice).
 	CaptureSamples bool
-	// Sanitize enables the runtime annotation sanitizer: region balance,
-	// access-kind/site-kind agreement, and atomics-inside-regions are
-	// asserted while the simulation runs (see core.Config.Sanitize).
-	Sanitize bool
 }
-
-// DefaultDetectInterval is the detection-thread analysis period in simulated
-// seconds. The paper analyzes once per second over minute-long runs; this
-// reproduction compresses workloads ~500x (tens of milliseconds), so the
-// interval compresses identically and all events-per-second rates and
-// thresholds carry over unchanged.
-const DefaultDetectInterval = 0.0001
 
 // Report is the outcome of one run. See the field documentation in
 // internal/core; the aliases here are the public stable surface.
@@ -147,22 +129,16 @@ func Run(w workload.Workload, cfg Config) (*Report, error) {
 		Threads:               cfg.Threads,
 		Period:                cfg.Period,
 		HugePages:             cfg.HugePages,
-		DisableCCC:            cfg.DisableCCC,
 		PTSBEverywhere:        cfg.PTSBEverywhere,
 		RepairBackend:         cfg.RepairBackend,
 		Sockets:               cfg.Sockets,
 		ThresholdPerSec:       cfg.ThresholdPerSec,
-		DetectIntervalSec:     cfg.DetectIntervalSec,
 		Seed:                  cfg.Seed,
 		CacheLines:            cfg.CacheLines,
 		AdaptivePeriod:        cfg.AdaptivePeriod,
 		TeardownIdleIntervals: cfg.TeardownIdleIntervals,
 		Trace:                 cfg.Trace,
 		CaptureSamples:        cfg.CaptureSamples,
-		Sanitize:              cfg.Sanitize,
-	}
-	if c.DetectIntervalSec <= 0 {
-		c.DetectIntervalSec = DefaultDetectInterval
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

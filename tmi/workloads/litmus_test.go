@@ -11,9 +11,10 @@ import (
 
 // TestLitmusRunsCleanUnderDefaultSchedule smoke-tests every litmus kernel
 // under the default (min-clock) schedule: the kernels must set up, run and
-// validate under the baseline and under TMI with the sanitizer asserting the
-// annotation contract. Schedule exploration lives in internal/mc; this test
-// only pins that the kernels are well-formed workloads.
+// validate under the baseline and under TMI. The annotation contract of every
+// kernel is checked by internal/analysis's TestCatalogClean and schedule
+// exploration lives in internal/mc; this test only pins that the kernels
+// are well-formed workloads.
 func TestLitmusRunsCleanUnderDefaultSchedule(t *testing.T) {
 	names := []string{
 		"litmus-sb", "litmus-mp", "litmus-lb", "litmus-iriw", "litmus-corr",
@@ -25,13 +26,12 @@ func TestLitmusRunsCleanUnderDefaultSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ByName(%q): %v", name, err)
 			}
-			rep, err := tmi.Run(w, tmi.Config{System: sys, Sanitize: true})
+			rep, err := tmi.Run(w, tmi.Config{System: sys})
 			if err != nil {
 				t.Fatalf("%s under %v: %v", name, sys, err)
 			}
-			if rep.SanitizerViolations != 0 {
-				t.Errorf("%s under %v: %d sanitizer violations: %v",
-					name, sys, rep.SanitizerViolations, rep.SanitizerDetails)
+			if !rep.Validated {
+				t.Errorf("%s under %v: %s", name, sys, rep.ValidationErr)
 			}
 			if out, ok := w.(workload.Outcomer); ok {
 				s := out.Outcome(nil)

@@ -6,16 +6,16 @@ import (
 	"repro/tmi/workload"
 )
 
-// misannotated is a deliberately broken fixture for tmilint and the runtime
-// sanitizer: it models a program built with one translation unit skipped by
+// misannotated is a deliberately broken fixture for tmilint's annotation
+// verifier: it models a program built with one translation unit skipped by
 // the CCC annotation pass (§3.4). The shared generation word is an atomic
 // instruction (the site registers as SiteAtomic), but the code reaches it
 // with plain loads and stores — no region callbacks fire, so under the PTSB
 // its cross-thread races silently demote from Table 2 case 2 ("atomic") to
-// case 1 ("undefined"). The static verifier must flag the site
-// (unannotated-atomic) and a sanitizer run must report violations; it is
-// resolvable by name but deliberately kept out of Names() so catalog-wide
-// gates stay clean.
+// case 1 ("undefined"). The verifier must flag both sites
+// (unannotated-atomic), which `make lint` pins; the fixture is resolvable
+// by name but deliberately kept out of Names() so catalog-wide gates stay
+// clean.
 type misannotated struct {
 	iters int
 
