@@ -4,8 +4,9 @@
 # byte-identical to testdata/tmilint_golden.txt, plus the misannotated
 # fixture, which must exit 1 with exactly its two unannotated-atomic
 # findings), race-harness
-# (the sweep executor and the tmid service are where real host-level
-# concurrency lives, so their tests run under the race detector), mc
+# (the sweep executor, the tmid service and the simulator's coroutine
+# handoff are where real host-level concurrency lives, so their tests run
+# under the race detector), mc
 # (tmimc's exhaustive model-checking of the litmus kernels, plus the two
 # negative fixtures that must diverge), suggest (tmilint's static repair
 # solver over the catalog, byte-identical to
@@ -47,10 +48,14 @@ race:
 
 # The sweep executor fans simulation cells across GOMAXPROCS workers and
 # the tmid service runs sharded detector goroutines under concurrent HTTP
-# streams; these are the subsystems with host-level concurrency, so they
-# get a dedicated race-detector lane in the check gate.
+# streams. The simulator's token handoff moves execution across a web of
+# coroutines, each thread switching straight to the next: machine, and
+# psync and core, which block, wake and abort its threads. These are
+# the subsystems with host-level concurrency, so they get a dedicated
+# race-detector lane in the check gate.
 race-harness:
-	$(GO) test -race ./internal/harness/... ./internal/service/... ./internal/cluster/...
+	$(GO) test -race ./internal/harness/... ./internal/service/... ./internal/cluster/... \
+		./internal/sim/machine/... ./internal/psync/... ./internal/core/...
 
 # bench regenerates the full evaluation with the parallel sweep executor
 # and appends a benchmark-trajectory point (wall-clock, cell counts,

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/disasm"
 	"repro/internal/sim/cache"
 	"repro/internal/sim/machine"
 )
@@ -195,7 +196,11 @@ func (rt *runtime) buildLayers() []hookLayer {
 					TID: t.ID, PC: acc.PC, Addr: acc.Addr, Size: acc.Size,
 					Write: acc.Write, Atomic: acc.Atomic, Value: val,
 				}
-				if si, ok := rt.prog.Disassemble(acc.PC); ok {
+				si, ok := disasm.Lookup(rt.sites, acc.PC)
+				if !ok {
+					si, ok = rt.prog.Disassemble(acc.PC) // registered after Setup
+				}
+				if ok {
 					info.Runtime = si.Runtime
 					info.Site = si.Name
 				}

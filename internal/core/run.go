@@ -103,8 +103,10 @@ type runtime struct {
 	sampleLog *trace.SampleLog
 	hooksC    composedHooks
 	// accScratch holds one AccessInfo per thread, reused for every observer
-	// OnAccess dispatch (the observer must not retain the pointer).
+	// OnAccess dispatch (the observer must not retain the pointer). sites
+	// is the observer's copy of the site table, taken after Setup.
 	accScratch []AccessInfo
+	sites      []disasm.SiteInfo
 
 	timeline    []IntervalSample
 	lastHITM    uint64
@@ -269,6 +271,9 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 	env := &runEnv{rt: rt}
 	if err := w.Setup(env); err != nil {
 		return nil, fmt.Errorf("core: setup of %s: %w", w.Name(), err)
+	}
+	if cfg.Observer != nil {
+		rt.sites = rt.prog.Sites() // Setup has registered the workload's sites
 	}
 
 	rt.buildAddressMap()

@@ -134,14 +134,21 @@ func (p *Program) Sites() []SiteInfo {
 func (p *Program) Disassemble(pc uint64) (SiteInfo, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return Lookup(p.sites, pc)
+}
+
+// Lookup recovers the site behind a PC from a listing Sites returned, with
+// no lock: a caller that disassembles every access copies the listing once
+// and falls back to Disassemble for a site registered after the copy.
+func Lookup(sites []SiteInfo, pc uint64) (SiteInfo, bool) {
 	if pc < CodeBase || (pc-CodeBase)%InstrBytes != 0 {
 		return SiteInfo{}, false
 	}
 	idx := (pc - CodeBase) / InstrBytes
-	if idx >= uint64(len(p.sites)) {
+	if idx >= uint64(len(sites)) {
 		return SiteInfo{}, false
 	}
-	return p.sites[idx], true
+	return sites[idx], true
 }
 
 // NumSites reports how many sites are registered.

@@ -86,3 +86,23 @@ func BenchmarkStepThroughputPrivate(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkStepThroughputBlocking measures the blocking handoff, the path
+// psync's contended mutex takes: two threads wake each other and block,
+// so every handoff has a Blocked thread on one side.
+func BenchmarkStepThroughputBlocking(b *testing.B) {
+	mc, _ := benchMachine(2)
+	per := b.N/2 + 1
+	body := func(th *Thread) {
+		other := mc.Thread(1 - th.ID)
+		for i := 0; i < per; i++ {
+			th.Store(1, heapBase+uint64(th.ID)*8, 8, uint64(i))
+			th.Unblock(other, 10)
+			th.Block()
+		}
+	}
+	b.ResetTimer()
+	if err := mc.Run([]func(*Thread){body, body}); err != nil {
+		b.Fatal(err)
+	}
+}

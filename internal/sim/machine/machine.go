@@ -5,11 +5,13 @@
 // attaches to (fault handling, address-space selection, access sampling,
 // consistency-region callbacks).
 //
-// Each simulated thread runs as a goroutine, but only one thread executes at
+// Each simulated thread runs as a coroutine, but only one thread executes at
 // a time, always the runnable thread with the smallest local clock, so every
 // run is deterministic for a fixed seed: memory operations are globally
 // ordered by simulated time, which is what makes the coherence simulation
-// and the consistency experiments reproducible.
+// and the consistency experiments reproducible. A thread that loses the
+// token switches straight to the next thread's coroutine; the driver loop
+// in Run only fires timers, detects the end of the run and unwinds aborts.
 package machine
 
 import (
@@ -218,16 +220,24 @@ type Thread struct {
 	space *mem.AddrSpace
 	clock int64
 	state ThreadState
-	rng   *rand.Rand
+	// resumed reports that the goroutine parked in this thread's coroutine
+	// entered it by resume, so yieldTok wakes it; otherwise resume does.
+	// Kept beside state, it costs no struct padding.
+	resumed bool
+	rng     *rand.Rand
 
-	// resume/stop/yieldTok are the coroutine handles (iter.Pull) the driver
-	// loop switches threads with. Coroutine switches transfer control
-	// directly between goroutines without a scheduler round trip, which is
-	// an order of magnitude cheaper than the channel park/unpark pair the
-	// token handoff used to cost.
+	// resume/yieldTok are the handles iter.Pull returns for the thread's
+	// coroutine. A coroutine always holds exactly one parked goroutine, and
+	// either call swaps the caller with it, whoever the caller is: the one
+	// that entered by resume is woken by yieldTok, and the one that entered
+	// by yieldTok (or the coroutine's own goroutine, not yet started) by
+	// resume. parkedIn is the coroutine this thread's goroutine waits in
+	// while another holds the token. So a handoff is one direct coroutine
+	// switch (see switchTo), with no driver round trip and no Go scheduler
+	// involvement.
 	resume   func() (struct{}, bool)
-	stop     func()
 	yieldTok func(struct{}) bool
+	parkedIn *Thread
 
 	// User carries runtime-private per-thread state (CCC region nesting,
 	// PTSB dirty sets). The machine never inspects it.
@@ -259,13 +269,18 @@ type Machine struct {
 
 	timers  timerHeap
 	started bool
-	// ready is readyThreads' reused buffer. picked/hasPick carry a Pick a
-	// yielding thread already made to the driver (see yield).
+	// ready is readyThreads' reused buffer.
 	ready   []*Thread
-	picked  *Thread
-	hasPick bool
 	failure error
 	aborted atomic.Bool
+
+	// driverIn is the coroutine Run's goroutine waits in while a thread
+	// runs. prev is the thread that last handed control to the driver, or
+	// last exited: the driver's next scheduleNext sees it as the previous
+	// holder.
+	driverIn *Thread
+	prev     *Thread
+	switches uint64
 
 	nextTimerID int
 }
@@ -363,12 +378,13 @@ func (m *Machine) RemoveTimer(id int) {
 // count; extra cores stay idle). It blocks until all threads finish and
 // returns the first failure (panic in a body, deadlock) if any.
 //
-// Run is the scheduler's driver loop: every thread body runs as a coroutine
-// (iter.Pull), and the driver — the Run caller's goroutine — repeatedly
-// picks the next runnable thread, fires due timers, and switches to it.
-// Exactly one goroutine executes at any moment (the driver or the resumed
-// thread), so the whole simulation is sequential; coroutine switches
-// transfer control directly, never through the Go scheduler.
+// Every thread body runs as a coroutine (iter.Pull). A thread that loses
+// the token switches straight to the next thread (see yield); the driver —
+// the Run caller's goroutine — takes over only when a timer is due, nothing
+// is runnable, a Scheduler abandons the run or a thread exits, and it
+// scheduleNext-picks the thread to switch to. Exactly one goroutine
+// executes at any moment, so the whole simulation is sequential; coroutine
+// switches transfer control directly, never through the Go scheduler.
 func (m *Machine) Run(bodies []func(*Thread)) error {
 	if len(bodies) > len(m.threads) {
 		return fmt.Errorf("machine: %d bodies for %d cores", len(bodies), len(m.threads))
@@ -389,7 +405,8 @@ func (m *Machine) Run(bodies []func(*Thread)) error {
 	}
 	for _, t := range live {
 		t := t
-		t.resume, t.stop = iter.Pull(func(yieldTok func(struct{}) bool) {
+		t.parkedIn = t // not started: resume starts it
+		t.resume, _ = iter.Pull(func(yieldTok func(struct{}) bool) {
 			t.yieldTok = yieldTok
 			// A coroutine started only so it can unwind (the machine
 			// aborted before this thread ever ran) must not execute its
@@ -411,16 +428,12 @@ func (m *Machine) Run(bodies []func(*Thread)) error {
 				}()
 			}
 			t.state = Done
+			// Returning wakes whichever goroutine is parked in this
+			// coroutine, with false: the driver schedules on from prev,
+			// and a thread, not chosen, forwards control to the driver.
+			m.prev = t
 		})
 	}
-	// Guarantee coroutine cleanup on every exit path: stop() unwinds a
-	// thread parked at a yield (its yieldTok returns false and it panics out
-	// via abortSentinel) and is a no-op on finished threads.
-	defer func() {
-		for _, t := range live {
-			t.stop()
-		}
-	}()
 
 	// The driver loop. A panic here can only come from a timer callback
 	// (body and hook panics are recovered inside the coroutine); record it
@@ -434,18 +447,47 @@ func (m *Machine) Run(bodies []func(*Thread)) error {
 				m.aborted.Store(true)
 			}
 		}()
-		var prev *Thread
 		for !m.aborted.Load() {
-			next := m.scheduleNext(prev)
+			next := m.scheduleNext(m.prev)
 			if next == nil {
 				break
 			}
-			prev = next
-			next.resume()
+			m.switchTo(&m.driverIn, next.parkedIn)
 		}
 	}()
+	// Drain an aborted run: each thread still parked wakes, sees the abort
+	// in checkAbort and unwinds; its exit passes control back here, through
+	// whoever was parked in its coroutine.
+	for _, t := range live {
+		if t.state != Done {
+			m.switchTo(&m.driverIn, t.parkedIn)
+		}
+	}
 	return m.failure
 }
+
+// switchTo wakes the goroutine parked in coroutine in, by the call
+// opposite to the one that parked it, and parks the caller there in its
+// place, recording in at self: one coroutine switch. It reports true when
+// the caller is woken by a switch to it — it holds the token again — and
+// false when the coroutine it parked in finished instead: the caller was
+// not chosen and must hand control to the driver.
+func (m *Machine) switchTo(self **Thread, in *Thread) bool {
+	m.switches++
+	*self = in
+	if in.resumed {
+		in.resumed = false
+		return in.yieldTok(struct{}{})
+	}
+	in.resumed = true
+	_, ok := in.resume()
+	return ok
+}
+
+// Switches reports the coroutine switches the run has made: one per token
+// handoff, plus the driver's switches at start, timers, exits and aborts.
+// Like every scheduling decision it is deterministic for a fixed seed.
+func (m *Machine) Switches() uint64 { return m.switches }
 
 // scheduleNext is the driver's scheduling point: it fires timers due before
 // the next thread would run, detects deadlock, and picks the thread to
@@ -454,10 +496,6 @@ func (m *Machine) Run(bodies []func(*Thread)) error {
 // external Scheduler picks, with no slack batching). Returning nil ends the
 // run.
 func (m *Machine) scheduleNext(prev *Thread) *Thread {
-	if m.hasPick {
-		m.hasPick = false
-		return m.adopt(m.picked)
-	}
 	for {
 		next := m.minReady()
 		// Fire timers due before the next thread would run. Timers advance
@@ -514,40 +552,42 @@ func (m *Machine) adopt(picked *Thread) *Thread {
 	return picked
 }
 
-// yield is a thread-side scheduling point: hand the token back to the
-// driver unless the thread may keep running.
+// yield is a thread-side scheduling point: keep the token if the thread
+// may, else hand it on.
 //
-// The fast path: under the one-token discipline only the token holder
-// executes here, and every prior mutation of thread states, clocks and the
-// timer heap happened either on this goroutine or before a coroutine switch
-// (which is a happens-before edge). The thread keeps the token while it is
-// still minimal (within schedSlack) and no timer is due — no driver round
-// trip at all. With an external Scheduler every yield is a scheduling
-// point, but while no timer is due the thread calls Pick itself, exactly
-// as the driver would: it keeps running when Pick returns it, and hands
-// any other pick (or nil) to the driver.
+// Under the one-token discipline only the token holder executes here, and
+// every prior mutation of thread states, clocks and the timer heap happened
+// either on this goroutine or before a coroutine switch (which is a
+// happens-before edge), so the thread can make the driver's decision
+// itself whenever no timer is due. It keeps the token while it is still
+// minimal (within schedSlack), and otherwise switches straight to the
+// min-clock thread. With an external Scheduler every yield is a scheduling
+// point: the thread calls Pick exactly as the driver would, keeps running
+// when Pick returns it and switches to any other pick. A due timer, an
+// empty ready set, a nil pick or an abort go to the driver instead.
 func (m *Machine) yield(t *Thread) {
-	if m.sched == nil {
-		if !m.aborted.Load() && t.state == Ready {
-			next := m.minReady()
-			if next != nil &&
-				(len(m.timers) == 0 || m.timers[0].at > next.clock) &&
-				(next == t || t.clock <= next.clock+schedSlack) {
-				return // keep the token: still minimal (within slack), no timer due
-			}
-		}
-	} else if !m.aborted.Load() {
+	var to *Thread
+	if !m.aborted.Load() {
 		if next := m.minReady(); next != nil && (len(m.timers) == 0 || m.timers[0].at > next.clock) {
-			picked := m.sched.Pick(m.readyThreads())
-			if picked == t {
+			if m.sched == nil {
+				if t.state == Ready && (next == t || t.clock <= next.clock+schedSlack) {
+					return // keep the token: still minimal (within slack), no timer due
+				}
+				to = next
+			} else if to = m.adopt(m.sched.Pick(m.readyThreads())); to == t {
 				return
 			}
-			m.picked, m.hasPick = picked, true
 		}
 	}
-	if !t.yieldTok(struct{}{}) {
-		// The driver stopped this coroutine: unwind to the Run wrapper.
-		panic(abortSentinel{})
+	if to == nil {
+		m.prev = t
+	} else if m.switchTo(&t.parkedIn, to.parkedIn) {
+		m.checkAbort()
+		return
+	}
+	// Hand control to the driver. A false return means the coroutine this
+	// thread parked in finished, not that anyone chose it: forward again.
+	for !m.switchTo(&t.parkedIn, m.driverIn) {
 	}
 	m.checkAbort()
 }
