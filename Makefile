@@ -64,11 +64,13 @@ bench:
 	$(GO) run ./cmd/tmibench -experiment all -runs 3 -bench-json auto
 
 # microbench runs the access-path microbenchmarks (single-access latency,
-# HITM transfer, step throughput, PTSB commit scan) and folds micro.* ns/op
-# and allocs/op stats into the day's newest BENCH_<date>[.N].json point.
+# HITM transfer, step throughput, PTSB commit scan) and the router's relay
+# hop (one window's round trip through the router to one in-process node),
+# and folds micro.* ns/op, allocs/op and custom per-op stats (the relay's
+# upstream writes/op) into the day's newest BENCH_<date>[.N].json point.
 microbench:
-	$(GO) test -run '^$$' -bench 'AccessLatencyL1|AccessHITMPath|StepThroughput|Commit.*Page' -benchmem \
-		./internal/sim/machine ./internal/ptsb | $(GO) run ./cmd/tmimicro
+	$(GO) test -run '^$$' -bench 'AccessLatencyL1|AccessHITMPath|StepThroughput|Commit.*Page|RelayWindow' -benchmem \
+		./internal/sim/machine ./internal/ptsb ./internal/cluster | $(GO) run ./cmd/tmimicro
 
 # benchgate is the determinism gate: fig9's rendered table must be
 # byte-identical to the committed golden. Any change to scheduling,

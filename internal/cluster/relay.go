@@ -43,9 +43,29 @@ import (
 // frame header. A framing error is the client's fault, so the relay
 // answers it itself with a non-retryable wire error, as the node would
 // have.
+//
+// The relay forwards whole frames, and a window's frames in one upstream
+// write: every client in the tree sends a window in one write, and each
+// upstream write is a pipe handoff, an HTTP chunk and a syscall, paid again
+// by the node's chunk read. It gathers frames and writes them at the first
+// of three points: a tick (its advice is awaited next), an empty client
+// read buffer (a client that sends frames one by one is never held back),
+// or relayBufSize gathered bytes (so however long a client keeps the
+// buffer full, a stream gathers at most that much plus one frame).
+// Before every exit, a framing error's answer included, it writes what is
+// gathered, so the node still ingests every valid frame that came first.
+// The barrier argument above is unchanged: any frame but a tick makes the
+// stream unclean, and a clean boundary follows the tick's write, so
+// nothing is ever gathered across one.
 
-// retryMsDefault is the backoff the relay suggests on retryable failures.
-const retryMsDefault = 1000
+const (
+	// retryMsDefault is the backoff the relay suggests on retryable
+	// failures.
+	retryMsDefault = 1000
+	// relayBufSize is the buffer the relay reads a client's body with, and
+	// the most frame bytes it gathers before writing them to the node.
+	relayBufSize = 256 << 10
+)
 
 // leg is one upstream /v1/stream exchange with the current owning node.
 type leg struct {
@@ -171,7 +191,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Every early exit answers through service.Refuse, which drains the
 	// body, and every mid-stream exit drains it too: the handler must not
 	// return with unread request body (Refuse says why).
-	br := bufio.NewReaderSize(r.Body, 256<<10)
+	br := bufio.NewReaderSize(r.Body, relayBufSize)
 	hello, helloRaw, err := toolio.ReadHello(br, toolio.MaxWireLine)
 	if err != nil {
 		service.Refuse(w, br, "tmirouter: "+err.Error(), http.StatusBadRequest)
@@ -219,17 +239,43 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	rd := toolio.NewWireReader(br, hello.Wire, toolio.MaxWireLine)
 	clean := true
 	var advBuf []byte
+	// pending gathers the frames read since the last upstream write, and
+	// frames counts them. forward writes them to the node in one write; on
+	// failure it has answered the client and closed the leg.
+	var pending []byte
+	frames := 0
+	forward := func() bool {
+		if len(pending) == 0 {
+			return true
+		}
+		n, err := l.pw.Write(pending)
+		pending = pending[:0]
+		if err != nil {
+			rt.reportNodeFailure(l.node)
+			failStream("tmirouter: owning node lost mid-stream; restart the stream", retryMsDefault)
+			rt.closeLeg(l)
+			return false
+		}
+		rt.upstream.writes.Add(1)
+		rt.upstream.bytes.Add(uint64(n))
+		rt.metrics.messagesRelayed.Add(uint64(frames))
+		frames = 0
+		return true
+	}
 	for {
 		kind, raw, err := rd.NextRaw()
-		if err == io.EOF {
-			rt.closeLeg(l)
-			return
-		}
 		if err != nil {
-			// Malformed framing is the client's fault: answer it here, as
-			// the node would, with a non-retryable error. Forwarding the
-			// bytes instead would leave the node's verdict unread.
-			failStream(err.Error(), 0)
+			// The node ingests every valid frame before the end of the body
+			// or before a malformed one.
+			if !forward() {
+				return
+			}
+			if err != io.EOF {
+				// Malformed framing is the client's fault: answer it here, as
+				// the node would, with a non-retryable error. Forwarding the
+				// bytes instead would leave the node's verdict unread.
+				failStream(err.Error(), 0)
+			}
 			rt.closeLeg(l)
 			return
 		}
@@ -237,6 +283,10 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		// relay has forwarded is fully ingested upstream, so an export now
 		// observes the complete session.
 		if clean {
+			if len(pending) != 0 {
+				// The tick that made the stream clean was the last write.
+				panic("tmirouter: frames gathered across a clean boundary")
+			}
 			if g := rt.gen.Load(); g != genSeen {
 				genSeen = g
 				newOwner, ok := rt.pickOwner(tenant)
@@ -253,38 +303,42 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		if _, err := l.pw.Write(raw); err != nil {
+		pending = append(pending, raw...)
+		frames++
+		if kind != toolio.WireTickKind[0] {
+			// Gather the rest of the window while the client has sent it.
+			clean = false
+			if br.Buffered() > 0 && len(pending) < relayBufSize {
+				continue
+			}
+			if !forward() {
+				return
+			}
+			continue
+		}
+		if !forward() {
+			return
+		}
+		advRaw, err := toolio.ReadLine(l.br, advBuf, toolio.MaxWireLine)
+		if err != nil {
 			rt.reportNodeFailure(l.node)
-			failStream("tmirouter: owning node lost mid-stream; restart the stream", retryMsDefault)
+			failStream("tmirouter: owning node lost awaiting advice; restart the stream", retryMsDefault)
 			rt.closeLeg(l)
 			return
 		}
-		rt.metrics.messagesRelayed.Add(1)
-		switch kind {
-		case toolio.WireSamplesKind[0]:
-			clean = false
-		case toolio.WireTickKind[0]:
-			advRaw, err := toolio.ReadLine(l.br, advBuf, toolio.MaxWireLine)
-			if err != nil {
-				rt.reportNodeFailure(l.node)
-				failStream("tmirouter: owning node lost awaiting advice; restart the stream", retryMsDefault)
-				rt.closeLeg(l)
-				return
-			}
-			advBuf = advRaw
-			w.Write(advRaw)
-			flush()
-			if toolio.PeekWireKind(advRaw) == toolio.WireErrorKind[0] {
-				// The node aborted the stream; its error (already relayed
-				// verbatim) carries the retry hint.
-				rt.metrics.streamsFailed.Add(1)
-				rt.closeLeg(l)
-				io.Copy(io.Discard, br)
-				return
-			}
-			rt.metrics.ticksRelayed.Add(1)
-			clean = true
+		advBuf = advRaw
+		w.Write(advRaw)
+		flush()
+		if toolio.PeekWireKind(advRaw) == toolio.WireErrorKind[0] {
+			// The node aborted the stream; its error (already relayed
+			// verbatim) carries the retry hint.
+			rt.metrics.streamsFailed.Add(1)
+			rt.closeLeg(l)
+			io.Copy(io.Discard, br)
+			return
 		}
+		rt.metrics.ticksRelayed.Add(1)
+		clean = true
 	}
 }
 

@@ -86,6 +86,10 @@ type Router struct {
 	ring    *Ring
 	gen     atomic.Uint64 // bumped on every ring rebuild; streams watch it
 
+	// upstream counts the relay's writes of gathered frames to nodes and
+	// the bytes they carried. Tests read it; no metric exports it.
+	upstream struct{ writes, bytes atomic.Uint64 }
+
 	stopProbe chan struct{}
 	probeDone chan struct{}
 	stopped   atomic.Bool
