@@ -8,7 +8,8 @@
 # handoff are where real host-level concurrency lives, so their tests run
 # under the race detector), mc
 # (tmimc's exhaustive model-checking of the litmus kernels, plus the two
-# negative fixtures that must diverge), suggest (tmilint's static repair
+# negative fixtures that must diverge, diffed against
+# testdata/tmimc_golden.txt), suggest (tmilint's static repair
 # solver over the catalog, byte-identical to
 # testdata/tmilint_suggest_golden.txt, then run on the broken fixtures, its
 # repair sets applied by tmimc and certified SC-equivalent and race-free),
@@ -210,10 +211,18 @@ tmilint:
 # SC-equivalent and race-free under exhaustive DPOR, and both deliberately
 # under-annotated fixtures (brokenfence, and the 4-thread relaxed IRIW whose
 # readers can disagree on the store order) must produce an SC divergence.
+# The two reports, run counts, outcome counts, witnesses and race PCs
+# included, must match testdata/tmimc_golden.txt byte for byte: a change
+# that moves a run count updates the golden on purpose.
 mc:
-	$(GO) run ./cmd/tmimc
-	$(GO) run ./cmd/tmimc -workload litmus-brokenfence -expect-divergence
-	$(GO) run ./cmd/tmimc -workload litmus-iriw-relaxed -expect-divergence
+	@dir=$$(mktemp -d); rc=1; \
+	$(GO) build -o $$dir/tmimc ./cmd/tmimc && \
+	$$dir/tmimc > $$dir/mc.txt && \
+	$$dir/tmimc -workload litmus-brokenfence,litmus-iriw-relaxed -expect-divergence >> $$dir/mc.txt && \
+	{ diff -u testdata/tmimc_golden.txt $$dir/mc.txt || \
+		{ echo "mc: tmimc output diverged from testdata/tmimc_golden.txt"; false; }; } && \
+	rc=0 && echo "mc: tmimc output matches golden"; \
+	rm -rf $$dir; exit $$rc
 
 # suggest first pins the catalog's repair sets: `tmilint -suggest -predict
 # none` must match testdata/tmilint_suggest_golden.txt byte for byte. It then
