@@ -290,9 +290,6 @@ func litmusNames() []string {
 	for _, w := range workloads.LitmusSuite() {
 		out = append(out, w.Name())
 	}
-	for _, w := range workloads.LitmusC11Suite() {
-		out = append(out, w.Name())
-	}
 	return out
 }
 

@@ -11,7 +11,10 @@ import (
 // (and so interns) its variables' pages and the state page its sync objects
 // need, not the whole reserved TMI state region — 8,192 pages at 4 KiB.
 func TestBuildInternsOnlyTouchedPages(t *testing.T) {
-	w := workloads.LitmusIRIW()
+	w, err := workloads.ByName("litmus-iriw")
+	if err != nil {
+		t.Fatal(err)
+	}
 	info := w.Info()
 	rt, err := build(w, Config{Setup: TMIAlloc, ForceProtect: true}.withDefaults(), info, info.Threads)
 	if err != nil {

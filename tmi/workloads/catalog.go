@@ -65,13 +65,12 @@ func Manual(name string) (workload.Workload, error) {
 // ByName resolves any catalog workload (suite members, manual variants, and
 // the consistency kernels).
 func ByName(name string) (workload.Workload, error) {
+	if w := litmusByName(name); w != nil {
+		return w, nil
+	}
 	extras := []workload.Workload{
 		Leveldb(VariantClean), WordTearing(false), WordTearing(true),
 		CannealSwap(), CholeskyFlag(), Misannotated(),
-		LitmusSB(), LitmusMP(), LitmusLB(), LitmusIRIW(), LitmusCoRR(),
-		LitmusBrokenFence(),
-		LitmusMPRelAcq(), LitmusFenceSB(), LitmusFenceMP(),
-		LitmusIRIWRelaxed(),
 	}
 	for _, w := range Suite() {
 		if w.Name() == name {
@@ -106,12 +105,11 @@ func Names() []string {
 	for _, n := range []string{
 		"leveldb-clean", "wordtear", "wordtear-asm", "canneal-swap",
 		"cholesky-flag",
-		"litmus-sb", "litmus-mp", "litmus-lb", "litmus-iriw", "litmus-corr",
-		"litmus-brokenfence",
-		"litmus-mp-relacq", "litmus-fencesb", "litmus-fencemp",
-		"litmus-iriw-relaxed",
 	} {
 		seen[n] = true
+	}
+	for _, s := range litmusSpecs {
+		seen[s.name] = true
 	}
 	for _, w := range FSSuite() {
 		seen[w.Name()+"-manual"] = true

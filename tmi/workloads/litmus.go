@@ -2,451 +2,346 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/tmi/workload"
 )
 
 // This file holds the litmus kernels the model checker (internal/mc,
 // cmd/tmimc) explores exhaustively: the classic shapes from the memory-model
-// literature (SB, MP, LB, IRIW, CoRR), written against the CCC annotation
-// contract so that under sequential consistency — and, if Table 2 holds,
-// under the PTSB with code-centric consistency — the forbidden outcome never
-// appears. Each kernel implements workload.Outcomer so the checker can
-// compare outcome sets across schedules and configurations.
-//
-// The sixth kernel, brokenfence, deliberately breaks the contract: it
-// synchronizes through a *plain* flag, which no CCC region ever flushes.
-// tmilint cannot object — every access matches its site's declared kind —
-// yet under the PTSB the consumer can observe the flag set while still
-// reading a stale private copy of the data page. This is precisely the gap
-// between annotation consistency (PR 1) and SC-equivalence (this PR): only
-// schedule exploration exposes it.
+// literature (SB, MP, LB, IRIW, CoRR), their C11-ordering variants
+// (release/acquire MP, fence-mediated SB and MP), and two deliberately
+// under-annotated fixtures. Every kernel is one litmusSpec entry in
+// litmusSpecs, run by the one litmus interpreter below; adding a kernel is
+// adding an entry. The clean kernels are written against the CCC annotation
+// contract, so under sequential consistency — and, if Table 2 holds, under
+// the PTSB with code-centric consistency — their forbidden outcome never
+// appears.
 //
 // Conventions shared by the kernels: each variable lives at offset 0 of its
-// own page so page twinning is exercised per variable; "warm" plain stores
-// at offset 512 create dirty private copies without overlapping any other
-// thread's bytes (no data races in the clean kernels); every thread ends at
-// a barrier, which is a PTSB commit point; loads happen once, never in spin
-// loops, so the schedule space stays finite and small.
+// own page so page twinning is exercised per variable; "warm" or "scratch"
+// plain stores at offset litmusWarm of a page the thread later reads create
+// a dirty private copy without overlapping any other thread's bytes; every
+// thread ends at a barrier, which is a PTSB commit point; loads happen once,
+// never in spin loops, so the schedule space stays finite and small.
 
-// litmusRegs holds per-thread result registers, written by the owning
-// simulated thread only (the machine runs one thread at a time, and the
-// final read happens after Run returns).
-type litmusRegs [4]uint64
+const (
+	// litmusWarm is the page offset of the warm/scratch words.
+	litmusWarm = 512
+	// litmusUnread is the value of a register its load never wrote (an MP
+	// consumer that saw flag=0 skips the data load); outcomes print "-".
+	litmusUnread = ^uint64(0)
+	// na fills the order slot of an access through a plain site: the
+	// site's declared kind, not the order, makes the access plain.
+	na = workload.Relaxed
+	// noGuard marks an op that runs unconditionally.
+	noGuard = -1
+)
 
-const litmusUnread = ^uint64(0)
+type litmusOpKind uint8
 
-func reg(v uint64) string {
-	if v == litmusUnread {
-		return "-"
-	}
-	return fmt.Sprintf("%d", v)
+const (
+	litmusStore litmusOpKind = iota
+	litmusLoad
+	litmusFence
+)
+
+// litmusOp is one step of a thread: a store of val, a load into register
+// reg, or a fence. Accesses go through site sites[site] at offset off of
+// page page; the site's declared kind decides whether the access is plain
+// or atomic with the given order. A guarded op runs only if register guard
+// read 1 — the MP consumer's data load, made only after it saw the flag.
+type litmusOp struct {
+	kind  litmusOpKind
+	site  int
+	page  int
+	off   uint64
+	val   uint64
+	reg   int
+	order workload.MemOrder
+	guard int // register index, or noGuard
 }
 
-// --- SB: store buffering -------------------------------------------------
-
-// litmusSB is Dekker's core: each thread publishes its own flag with a
-// SeqCst store, then reads the other's. SC forbids both threads reading 0.
-// Each thread also warm-dirties the page it will later *read* from, so the
-// atomic loads must be routed to the shared view past a dirty private copy.
-type litmusSB struct {
-	x, y         uint64 // separate pages
-	warm0, warm1 uint64 // warm0 on y's page (t0 writes), warm1 on x's page
-	r            litmusRegs
-	bar          workload.Barrier
-
-	sWarm, sStX, sStY, sLdX, sLdY workload.Site
+// store writes val through sites[site] to page page at offset off.
+func store(site, page int, off, val uint64, o workload.MemOrder) litmusOp {
+	return litmusOp{kind: litmusStore, site: site, page: page, off: off, val: val, order: o, guard: noGuard}
 }
 
-// LitmusSB constructs the store-buffering litmus test.
-func LitmusSB() workload.Workload { return &litmusSB{} }
-
-var _ workload.Outcomer = (*litmusSB)(nil)
-
-func (w *litmusSB) Name() string { return "litmus-sb" }
-
-func (w *litmusSB) Info() workload.Info {
-	return workload.Info{Threads: 2, FootprintMB: 1, UsesAtomics: true,
-		Desc: "litmus SB: SC forbids r0=0,r1=0"}
+// load reads offset 0 of page page through sites[site] into register reg.
+func load(reg, site, page int, o workload.MemOrder) litmusOp {
+	return litmusOp{kind: litmusLoad, site: site, page: page, reg: reg, order: o, guard: noGuard}
 }
 
-func (w *litmusSB) Setup(env workload.Env) error {
-	page := env.PageSize()
-	pageX := env.Alloc(page, page)
-	pageY := env.Alloc(page, page)
-	w.x, w.warm1 = pageX, pageX+512
-	w.y, w.warm0 = pageY, pageY+512
-	w.r = litmusRegs{litmusUnread, litmusUnread}
-	w.bar = env.NewBarrier("sb.bar", env.Threads())
-	w.sWarm = env.Site("sb.warm", workload.SiteStore, 8)
-	w.sStX = env.Site("sb.store_x", workload.SiteAtomic, 8)
-	w.sStY = env.Site("sb.store_y", workload.SiteAtomic, 8)
-	w.sLdX = env.Site("sb.load_x", workload.SiteAtomic, 8)
-	w.sLdY = env.Site("sb.load_y", workload.SiteAtomic, 8)
-	return nil
+func fence(o workload.MemOrder) litmusOp {
+	return litmusOp{kind: litmusFence, order: o, guard: noGuard}
 }
 
-func (w *litmusSB) Body(t workload.Thread) {
-	if t.ID() == 0 {
-		t.Store(w.sWarm, w.warm0, 1)
-		t.AtomicStore(w.sStX, w.x, 1, workload.SeqCst)
-		w.r[0] = t.AtomicLoad(w.sLdY, w.y, workload.SeqCst)
-	} else {
-		t.Store(w.sWarm, w.warm1, 2)
-		t.AtomicStore(w.sStY, w.y, 1, workload.SeqCst)
-		w.r[1] = t.AtomicLoad(w.sLdX, w.x, workload.SeqCst)
-	}
-	t.Wait(w.bar)
+// ifRead1 guards op on register r having read 1.
+func (op litmusOp) ifRead1(r int) litmusOp {
+	op.guard = r
+	return op
 }
 
-func (w *litmusSB) Validate(env workload.Env) error {
-	if w.r[0] == 0 && w.r[1] == 0 {
-		return fmt.Errorf("litmus-sb: r0=0 r1=0 is forbidden under SC")
-	}
-	return nil
+// litmusSite is a site's name after the kernel's prefix, and its kind.
+type litmusSite struct {
+	name string
+	kind workload.SiteKind
 }
 
-func (w *litmusSB) Outcome(env workload.Env) string {
-	return fmt.Sprintf("r0=%s r1=%s", reg(w.r[0]), reg(w.r[1]))
+// litmusSpec is one litmus kernel as data. Setup allocates the pages in
+// order, then the barrier "<prefix>.bar", then the sites in order — the
+// order fixes every address and PC tmimc reports.
+//
+// The forbidden outcome is a register tuple, and Validate fails exactly when
+// the registers equal it. For the MP family that is (flag, data) = (1, 0):
+// the only values ever stored to data are 0 and 42, and data is read only
+// once flag read 1, so "flag=1 and data≠42" can only be (1, 0).
+type litmusSpec struct {
+	name, prefix, desc string
+	threads, pages     int
+	sites              []litmusSite
+	ops                [][]litmusOp // one list per thread
+	regs               []string     // outcome register names, in print order
+	forbid             []uint64
+	forbidMsg          string
+	// customSync marks the two under-annotated fixtures, which synchronize
+	// through accesses the annotation pass missed.
+	customSync bool
 }
 
-// --- MP: message passing -------------------------------------------------
+var (
+	mpSites        = []litmusSite{{"store_data", workload.SiteStore}, {"load_data", workload.SiteLoad}, {"store_flag", workload.SiteAtomic}, {"load_flag", workload.SiteAtomic}}
+	scratchMPSites = []litmusSite{{"store_data", workload.SiteStore}, {"load_data", workload.SiteLoad}, {"scratch", workload.SiteStore}, {"store_flag", workload.SiteAtomic}, {"load_flag", workload.SiteAtomic}}
+	sbSites        = []litmusSite{{"warm", workload.SiteStore}, {"store_x", workload.SiteAtomic}, {"store_y", workload.SiteAtomic}, {"load_x", workload.SiteAtomic}, {"load_y", workload.SiteAtomic}}
+	xySites        = []litmusSite{{"store_x", workload.SiteAtomic}, {"store_y", workload.SiteAtomic}, {"load_x", workload.SiteAtomic}, {"load_y", workload.SiteAtomic}}
+	r01, r0123     = []string{"r0", "r1"}, []string{"r0", "r1", "r2", "r3"}
+	flagData       = []string{"flag", "data"}
+	mpForbid       = "flag=1 but data=0, want 42"
+	iriwForbid     = "readers saw x-then-y and y-then-x (forbidden under SC)"
+)
 
-// litmusMP publishes data through a release/acquire flag. The producer
-// dirties the data page (a PTSB twin), so its release-side flush must
-// commit the data before the flag becomes visible. The consumer reads the
-// data only after observing flag==1, which keeps the kernel race-free; SC
-// (and release/acquire) forbid flag==1 with stale data.
-type litmusMP struct {
-	data, flag uint64
-	r          litmusRegs // r[0]=flag seen, r[1]=data seen (litmusUnread if not read)
-	bar        workload.Barrier
-
-	sData, sDataLd, sFlagSt, sFlagLd workload.Site
-}
-
-// LitmusMP constructs the message-passing litmus test.
-func LitmusMP() workload.Workload { return &litmusMP{} }
-
-var _ workload.Outcomer = (*litmusMP)(nil)
-
-func (w *litmusMP) Name() string { return "litmus-mp" }
-
-func (w *litmusMP) Info() workload.Info {
-	return workload.Info{Threads: 2, FootprintMB: 1, UsesAtomics: true,
-		Desc: "litmus MP: flag=1 implies data=42"}
-}
-
-func (w *litmusMP) Setup(env workload.Env) error {
-	page := env.PageSize()
-	w.data = env.Alloc(page, page)
-	w.flag = env.Alloc(page, page)
-	w.r = litmusRegs{litmusUnread, litmusUnread}
-	w.bar = env.NewBarrier("mp.bar", env.Threads())
-	w.sData = env.Site("mp.store_data", workload.SiteStore, 8)
-	w.sDataLd = env.Site("mp.load_data", workload.SiteLoad, 8)
-	w.sFlagSt = env.Site("mp.store_flag", workload.SiteAtomic, 8)
-	w.sFlagLd = env.Site("mp.load_flag", workload.SiteAtomic, 8)
-	return nil
-}
-
-func (w *litmusMP) Body(t workload.Thread) {
-	if t.ID() == 0 {
-		t.Store(w.sData, w.data, 42)
-		t.AtomicStore(w.sFlagSt, w.flag, 1, workload.Release)
-	} else {
-		w.r[0] = t.AtomicLoad(w.sFlagLd, w.flag, workload.Acquire)
-		if w.r[0] == 1 {
-			w.r[1] = t.Load(w.sDataLd, w.data)
-		}
-	}
-	t.Wait(w.bar)
-}
-
-func (w *litmusMP) Validate(env workload.Env) error {
-	if w.r[0] == 1 && w.r[1] != 42 {
-		return fmt.Errorf("litmus-mp: flag=1 but data=%s, want 42", reg(w.r[1]))
-	}
-	return nil
-}
-
-func (w *litmusMP) Outcome(env workload.Env) string {
-	return fmt.Sprintf("flag=%s data=%s", reg(w.r[0]), reg(w.r[1]))
-}
-
-// --- LB: load buffering --------------------------------------------------
-
-// litmusLB reads the other thread's variable before publishing its own:
-// SC forbids both loads returning 1 (values out of thin air otherwise).
-type litmusLB struct {
-	x, y uint64
-	r    litmusRegs
-	bar  workload.Barrier
-
-	sStX, sStY, sLdX, sLdY workload.Site
-}
-
-// LitmusLB constructs the load-buffering litmus test.
-func LitmusLB() workload.Workload { return &litmusLB{} }
-
-var _ workload.Outcomer = (*litmusLB)(nil)
-
-func (w *litmusLB) Name() string { return "litmus-lb" }
-
-func (w *litmusLB) Info() workload.Info {
-	return workload.Info{Threads: 2, FootprintMB: 1, UsesAtomics: true,
-		Desc: "litmus LB: SC forbids r0=1,r1=1"}
-}
-
-func (w *litmusLB) Setup(env workload.Env) error {
-	page := env.PageSize()
-	w.x = env.Alloc(page, page)
-	w.y = env.Alloc(page, page)
-	w.r = litmusRegs{litmusUnread, litmusUnread}
-	w.bar = env.NewBarrier("lb.bar", env.Threads())
-	w.sStX = env.Site("lb.store_x", workload.SiteAtomic, 8)
-	w.sStY = env.Site("lb.store_y", workload.SiteAtomic, 8)
-	w.sLdX = env.Site("lb.load_x", workload.SiteAtomic, 8)
-	w.sLdY = env.Site("lb.load_y", workload.SiteAtomic, 8)
-	return nil
-}
-
-func (w *litmusLB) Body(t workload.Thread) {
-	if t.ID() == 0 {
-		w.r[0] = t.AtomicLoad(w.sLdY, w.y, workload.SeqCst)
-		t.AtomicStore(w.sStX, w.x, 1, workload.SeqCst)
-	} else {
-		w.r[1] = t.AtomicLoad(w.sLdX, w.x, workload.SeqCst)
-		t.AtomicStore(w.sStY, w.y, 1, workload.SeqCst)
-	}
-	t.Wait(w.bar)
-}
-
-func (w *litmusLB) Validate(env workload.Env) error {
-	if w.r[0] == 1 && w.r[1] == 1 {
-		return fmt.Errorf("litmus-lb: r0=1 r1=1 is forbidden under SC")
-	}
-	return nil
-}
-
-func (w *litmusLB) Outcome(env workload.Env) string {
-	return fmt.Sprintf("r0=%s r1=%s", reg(w.r[0]), reg(w.r[1]))
-}
-
-// --- IRIW: independent reads of independent writes -----------------------
-
-// litmusIRIW: two writers publish x and y; two readers read them in
-// opposite orders. SC forbids the readers disagreeing on the write order.
-type litmusIRIW struct {
-	x, y uint64
-	r    litmusRegs // t2: r[0]=x,r[1]=y ; t3: r[2]=y,r[3]=x
-	bar  workload.Barrier
-
-	sStX, sStY, sLdX, sLdY workload.Site
-}
-
-// LitmusIRIW constructs the IRIW litmus test.
-func LitmusIRIW() workload.Workload { return &litmusIRIW{} }
-
-var _ workload.Outcomer = (*litmusIRIW)(nil)
-
-func (w *litmusIRIW) Name() string { return "litmus-iriw" }
-
-func (w *litmusIRIW) Info() workload.Info {
-	return workload.Info{Threads: 4, FootprintMB: 1, UsesAtomics: true,
-		Desc: "litmus IRIW: readers must agree on the write order"}
-}
-
-func (w *litmusIRIW) Setup(env workload.Env) error {
-	page := env.PageSize()
-	w.x = env.Alloc(page, page)
-	w.y = env.Alloc(page, page)
-	w.r = litmusRegs{litmusUnread, litmusUnread, litmusUnread, litmusUnread}
-	w.bar = env.NewBarrier("iriw.bar", env.Threads())
-	w.sStX = env.Site("iriw.store_x", workload.SiteAtomic, 8)
-	w.sStY = env.Site("iriw.store_y", workload.SiteAtomic, 8)
-	w.sLdX = env.Site("iriw.load_x", workload.SiteAtomic, 8)
-	w.sLdY = env.Site("iriw.load_y", workload.SiteAtomic, 8)
-	return nil
-}
-
-func (w *litmusIRIW) Body(t workload.Thread) {
-	switch t.ID() {
-	case 0:
-		t.AtomicStore(w.sStX, w.x, 1, workload.SeqCst)
-	case 1:
-		t.AtomicStore(w.sStY, w.y, 1, workload.SeqCst)
-	case 2:
-		w.r[0] = t.AtomicLoad(w.sLdX, w.x, workload.SeqCst)
-		w.r[1] = t.AtomicLoad(w.sLdY, w.y, workload.SeqCst)
-	case 3:
-		w.r[2] = t.AtomicLoad(w.sLdY, w.y, workload.SeqCst)
-		w.r[3] = t.AtomicLoad(w.sLdX, w.x, workload.SeqCst)
-	}
-	t.Wait(w.bar)
-}
-
-func (w *litmusIRIW) Validate(env workload.Env) error {
-	if w.r[0] == 1 && w.r[1] == 0 && w.r[2] == 1 && w.r[3] == 0 {
-		return fmt.Errorf("litmus-iriw: readers saw x-then-y and y-then-x (forbidden under SC)")
-	}
-	return nil
-}
-
-func (w *litmusIRIW) Outcome(env workload.Env) string {
-	return fmt.Sprintf("r0=%s r1=%s r2=%s r3=%s", reg(w.r[0]), reg(w.r[1]), reg(w.r[2]), reg(w.r[3]))
-}
-
-// --- CoRR: coherent read-read --------------------------------------------
-
-// litmusCoRR: one writer, one reader reading the same variable twice with
-// relaxed atomics. Coherence forbids the second read going backwards. The
-// reader warm-dirties the variable's page first: relaxed atomics must still
-// route to the shared view past the dirty private copy (Table 2 case 2),
-// even though they never flush.
-type litmusCoRR struct {
-	x    uint64
-	warm uint64 // on x's page, reader-written
-	r    litmusRegs
-	bar  workload.Barrier
-
-	sWarm, sSt, sLd workload.Site
-}
-
-// LitmusCoRR constructs the coherence read-read litmus test.
-func LitmusCoRR() workload.Workload { return &litmusCoRR{} }
-
-var _ workload.Outcomer = (*litmusCoRR)(nil)
-
-func (w *litmusCoRR) Name() string { return "litmus-corr" }
-
-func (w *litmusCoRR) Info() workload.Info {
-	return workload.Info{Threads: 2, FootprintMB: 1, UsesAtomics: true,
-		Desc: "litmus CoRR: relaxed reads of one variable never go backwards"}
-}
-
-func (w *litmusCoRR) Setup(env workload.Env) error {
-	page := env.PageSize()
-	w.x = env.Alloc(page, page)
-	w.warm = w.x + 512
-	w.r = litmusRegs{litmusUnread, litmusUnread}
-	w.bar = env.NewBarrier("corr.bar", env.Threads())
-	w.sWarm = env.Site("corr.warm", workload.SiteStore, 8)
-	w.sSt = env.Site("corr.store_x", workload.SiteAtomic, 8)
-	w.sLd = env.Site("corr.load_x", workload.SiteAtomic, 8)
-	return nil
-}
-
-func (w *litmusCoRR) Body(t workload.Thread) {
-	if t.ID() == 0 {
-		t.AtomicStore(w.sSt, w.x, 1, workload.Relaxed)
-	} else {
-		t.Store(w.sWarm, w.warm, 9)
-		w.r[0] = t.AtomicLoad(w.sLd, w.x, workload.Relaxed)
-		w.r[1] = t.AtomicLoad(w.sLd, w.x, workload.Relaxed)
-	}
-	t.Wait(w.bar)
-}
-
-func (w *litmusCoRR) Validate(env workload.Env) error {
-	if w.r[0] == 1 && w.r[1] == 0 {
-		return fmt.Errorf("litmus-corr: reads went backwards (1 then 0), coherence violated")
-	}
-	return nil
-}
-
-func (w *litmusCoRR) Outcome(env workload.Env) string {
-	return fmt.Sprintf("r0=%s r1=%s", reg(w.r[0]), reg(w.r[1]))
-}
-
-// --- brokenfence: the under-annotated fixture ----------------------------
-
-// litmusBrokenFence is MP with the synchronization annotation missing: the
-// flag is a *plain* variable, so no CCC region ever flushes the PTSB around
-// it, and the consumer scratch-dirties the data page before looking at the
-// flag. Statically everything is consistent (tmilint finds nothing: plain
-// sites perform plain accesses). Dynamically, under the PTSB, the consumer
-// can read flag==1 from shared memory while its private copy of the data
-// page still holds 0 — an outcome SC forbids. tmimc must catch this with a
-// minimal counterexample schedule; it is also the seeded data race for the
-// race-detector tests (plain flag and data accesses race by construction).
-type litmusBrokenFence struct {
-	data, scratch uint64 // same page: scratch is the consumer's dirtying store
-	flag          uint64 // its own page, plain
-	r             litmusRegs
-	bar           workload.Barrier
-
-	sData, sDataLd, sScratch, sFlagSt, sFlagLd workload.Site
-}
-
-// LitmusBrokenFence constructs the deliberately under-annotated MP fixture.
-func LitmusBrokenFence() workload.Workload { return &litmusBrokenFence{} }
-
-var _ workload.Outcomer = (*litmusBrokenFence)(nil)
-
-func (w *litmusBrokenFence) Name() string { return "litmus-brokenfence" }
-
-func (w *litmusBrokenFence) Info() workload.Info {
-	return workload.Info{Threads: 2, FootprintMB: 1, UsesCustomSync: true,
-		Desc: "under-annotated MP: plain flag never flushes the PTSB"}
-}
-
-func (w *litmusBrokenFence) Setup(env workload.Env) error {
-	page := env.PageSize()
-	base := env.Alloc(page, page)
-	w.data, w.scratch = base, base+512
-	w.flag = env.Alloc(page, page)
-	w.r = litmusRegs{litmusUnread, litmusUnread}
-	w.bar = env.NewBarrier("brokenfence.bar", env.Threads())
-	w.sData = env.Site("brokenfence.store_data", workload.SiteStore, 8)
-	w.sDataLd = env.Site("brokenfence.load_data", workload.SiteLoad, 8)
-	w.sScratch = env.Site("brokenfence.scratch", workload.SiteStore, 8)
-	w.sFlagSt = env.Site("brokenfence.store_flag", workload.SiteStore, 8)
-	w.sFlagLd = env.Site("brokenfence.load_flag", workload.SiteLoad, 8)
-	return nil
-}
-
-func (w *litmusBrokenFence) Body(t workload.Thread) {
-	if t.ID() == 0 {
-		t.Store(w.sData, w.data, 42)
-		t.Store(w.sFlagSt, w.flag, 1) // plain publish: the missing fence
-	} else {
-		// The consumer dirties the data page first (its private copy now
-		// snapshots data as of this instant), then polls the flag once.
-		t.Store(w.sScratch, w.scratch, 7)
-		w.r[0] = t.Load(w.sFlagLd, w.flag)
-		if w.r[0] == 1 {
-			w.r[1] = t.Load(w.sDataLd, w.data)
-		}
-	}
-	t.Wait(w.bar)
-}
-
-func (w *litmusBrokenFence) Validate(env workload.Env) error {
-	if w.r[0] == 1 && w.r[1] != 42 {
-		return fmt.Errorf("litmus-brokenfence: flag=1 but data=%s, want 42", reg(w.r[1]))
-	}
-	return nil
-}
-
-func (w *litmusBrokenFence) Outcome(env workload.Env) string {
-	return fmt.Sprintf("flag=%s data=%s", reg(w.r[0]), reg(w.r[1]))
+// litmusSpecs is every litmus kernel; the clean ones (LitmusSuite) in the
+// order tmimc checks them by default.
+var litmusSpecs = []litmusSpec{
+	// SB is Dekker's core: each thread publishes its flag with a seq_cst
+	// store, then reads the other's. Each thread warm-dirties the page it
+	// later reads, so the atomic load must reach the shared view past a
+	// dirty private copy. Pages: x, y.
+	{name: "litmus-sb", prefix: "sb", threads: 2, pages: 2, sites: sbSites,
+		desc: "litmus SB: SC forbids r0=0,r1=0",
+		ops: [][]litmusOp{
+			{store(0, 1, litmusWarm, 1, na), store(1, 0, 0, 1, workload.SeqCst), load(0, 4, 1, workload.SeqCst)},
+			{store(0, 0, litmusWarm, 2, na), store(2, 1, 0, 1, workload.SeqCst), load(1, 3, 0, workload.SeqCst)},
+		},
+		regs: r01, forbid: []uint64{0, 0}, forbidMsg: "r0=0 r1=0 is forbidden under SC"},
+	// MP publishes dirty data through a release/acquire flag: the release
+	// must commit the data page before the flag is visible. Pages: data, flag.
+	{name: "litmus-mp", prefix: "mp", threads: 2, pages: 2, sites: mpSites,
+		desc: "litmus MP: flag=1 implies data=42",
+		ops: [][]litmusOp{
+			{store(0, 0, 0, 42, na), store(2, 1, 0, 1, workload.Release)},
+			{load(0, 3, 1, workload.Acquire), load(1, 1, 0, na).ifRead1(0)},
+		},
+		regs: flagData, forbid: []uint64{1, 0}, forbidMsg: mpForbid},
+	// LB reads the other thread's variable before publishing its own; SC
+	// forbids both loads returning 1. Pages: x, y.
+	{name: "litmus-lb", prefix: "lb", threads: 2, pages: 2, sites: xySites,
+		desc: "litmus LB: SC forbids r0=1,r1=1",
+		ops: [][]litmusOp{
+			{load(0, 3, 1, workload.SeqCst), store(0, 0, 0, 1, workload.SeqCst)},
+			{load(1, 2, 0, workload.SeqCst), store(1, 1, 0, 1, workload.SeqCst)},
+		},
+		regs: r01, forbid: []uint64{1, 1}, forbidMsg: "r0=1 r1=1 is forbidden under SC"},
+	// IRIW: two writers, two readers reading x and y in opposite orders; SC
+	// forbids the readers disagreeing on the write order. Pages: x, y.
+	{name: "litmus-iriw", prefix: "iriw", threads: 4, pages: 2, sites: xySites,
+		desc: "litmus IRIW: readers must agree on the write order",
+		ops: [][]litmusOp{
+			{store(0, 0, 0, 1, workload.SeqCst)},
+			{store(1, 1, 0, 1, workload.SeqCst)},
+			{load(0, 2, 0, workload.SeqCst), load(1, 3, 1, workload.SeqCst)},
+			{load(2, 3, 1, workload.SeqCst), load(3, 2, 0, workload.SeqCst)},
+		},
+		regs: r0123, forbid: []uint64{1, 0, 1, 0}, forbidMsg: iriwForbid},
+	// CoRR: the reader warm-dirties x's page, then reads x twice with relaxed
+	// atomics, which must still reach the shared view past the dirty copy
+	// (Table 2 case 2) though they never flush. Page: x.
+	{name: "litmus-corr", prefix: "corr", threads: 2, pages: 1,
+		sites: []litmusSite{{"warm", workload.SiteStore}, {"store_x", workload.SiteAtomic}, {"load_x", workload.SiteAtomic}},
+		desc:  "litmus CoRR: relaxed reads of one variable never go backwards",
+		ops: [][]litmusOp{
+			{store(1, 0, 0, 1, workload.Relaxed)},
+			{store(0, 0, litmusWarm, 9, na), load(0, 2, 0, workload.Relaxed), load(1, 2, 0, workload.Relaxed)},
+		},
+		regs: r01, forbid: []uint64{1, 0}, forbidMsg: "reads went backwards (1 then 0), coherence violated"},
+	// brokenfence is MP through a *plain* flag, which no CCC region ever
+	// flushes, and the consumer scratch-dirties the data page before reading
+	// the flag. tmilint finds nothing (every access matches its site's kind),
+	// but under the PTSB the consumer can see flag=1 while its private copy
+	// of data is still 0. It is also the seeded data race of the race
+	// detector tests. Pages: data (+scratch), flag.
+	{name: "litmus-brokenfence", prefix: "brokenfence", threads: 2, pages: 2, customSync: true,
+		sites: []litmusSite{{"store_data", workload.SiteStore}, {"load_data", workload.SiteLoad}, {"scratch", workload.SiteStore}, {"store_flag", workload.SiteStore}, {"load_flag", workload.SiteLoad}},
+		desc:  "under-annotated MP: plain flag never flushes the PTSB",
+		ops: [][]litmusOp{
+			{store(0, 0, 0, 42, na), store(3, 1, 0, 1, na)},
+			{store(2, 0, litmusWarm, 7, na), load(0, 4, 1, na), load(1, 1, 0, na).ifRead1(0)},
+		},
+		regs: flagData, forbid: []uint64{1, 0}, forbidMsg: mpForbid},
+	// mp-relacq is MP with exactly the orderings C11 requires; the consumer's
+	// acquire must discard its scratch-dirtied twin. Pages: data (+scratch), flag.
+	{name: "litmus-mp-relacq", prefix: "mprelacq", threads: 2, pages: 2, sites: scratchMPSites,
+		desc: "litmus MP with release store / acquire load: flag=1 implies data=42",
+		ops: [][]litmusOp{
+			{store(0, 0, 0, 42, na), store(3, 1, 0, 1, workload.Release)},
+			{store(2, 0, litmusWarm, 7, na), load(0, 4, 1, workload.Acquire), load(1, 1, 0, na).ifRead1(0)},
+		},
+		regs: flagData, forbid: []uint64{1, 0}, forbidMsg: mpForbid},
+	// fencesb is SB over relaxed flags with a seq_cst fence between each
+	// thread's store and load; the fence's flush discards the warm twin.
+	{name: "litmus-fencesb", prefix: "fencesb", threads: 2, pages: 2, sites: sbSites,
+		desc: "litmus SB over relaxed atomics and seq_cst fences: SC forbids r0=0,r1=0",
+		ops: [][]litmusOp{
+			{store(0, 1, litmusWarm, 1, na), store(1, 0, 0, 1, workload.Relaxed), fence(workload.SeqCst), load(0, 4, 1, workload.Relaxed)},
+			{store(0, 0, litmusWarm, 2, na), store(2, 1, 0, 1, workload.Relaxed), fence(workload.SeqCst), load(1, 3, 0, workload.Relaxed)},
+		},
+		regs: r01, forbid: []uint64{0, 0}, forbidMsg: "r0=0 r1=0 is forbidden with seq_cst fences"},
+	// fencemp is MP over a relaxed flag with Alglave et al.'s canonical fence
+	// placement: release fence before the flag store, acquire fence after the
+	// flag load. Remove either and flag=1 with stale data becomes reachable.
+	{name: "litmus-fencemp", prefix: "fencemp", threads: 2, pages: 2, sites: scratchMPSites,
+		desc: "litmus MP over a relaxed flag and release/acquire fences: flag=1 implies data=42",
+		ops: [][]litmusOp{
+			{store(0, 0, 0, 42, na), fence(workload.Release), store(3, 1, 0, 1, workload.Relaxed)},
+			{store(2, 0, litmusWarm, 7, na), load(0, 4, 1, workload.Relaxed), fence(workload.Acquire), load(1, 1, 0, na).ifRead1(0)},
+		},
+		regs: flagData, forbid: []uint64{1, 0}, forbidMsg: mpForbid},
+	// iriw-relaxed: relaxed writers; each reader scratch-dirties the page of
+	// the variable it then reads through a *plain* load (the missed
+	// annotation), after an atomic load of the other. Under the PTSB the
+	// plain load can return the stale twin, so the readers disagree. The
+	// repair tmilint -suggest must find upgrades both plain-load sites.
+	{name: "litmus-iriw-relaxed", prefix: "iriwrelaxed", threads: 4, pages: 2, customSync: true,
+		sites: []litmusSite{{"scratch", workload.SiteStore}, {"store_x", workload.SiteAtomic}, {"store_y", workload.SiteAtomic},
+			{"load_x", workload.SiteAtomic}, {"load_y", workload.SiteAtomic}, {"load_y_plain", workload.SiteLoad}, {"load_x_plain", workload.SiteLoad}},
+		desc: "under-annotated relaxed IRIW: plain second loads read stale twins",
+		ops: [][]litmusOp{
+			{store(1, 0, 0, 1, workload.Relaxed)},
+			{store(2, 1, 0, 1, workload.Relaxed)},
+			{store(0, 1, litmusWarm, 7, na), load(0, 3, 0, workload.Relaxed), load(1, 5, 1, na)},
+			{store(0, 0, litmusWarm, 7, na), load(2, 4, 1, workload.Relaxed), load(3, 6, 0, na)},
+		},
+		regs: r0123, forbid: []uint64{1, 0, 1, 0}, forbidMsg: iriwForbid},
 }
 
 // LitmusSuite returns the clean litmus kernels (SC-equivalence must hold).
 func LitmusSuite() []workload.Workload {
-	return []workload.Workload{
-		LitmusSB(), LitmusMP(), LitmusLB(), LitmusIRIW(), LitmusCoRR(),
+	var out []workload.Workload
+	for i := range litmusSpecs {
+		if !litmusSpecs[i].customSync {
+			out = append(out, &litmus{spec: &litmusSpecs[i]})
+		}
 	}
+	return out
 }
 
-// LitmusByName resolves a litmus kernel (including the broken fixture) by
-// name, or nil.
-func LitmusByName(name string) workload.Workload {
-	for _, w := range append(LitmusSuite(), LitmusBrokenFence()) {
-		if w.Name() == name {
-			return w
+// litmusByName returns a fresh interpreter for the named kernel, or nil.
+func litmusByName(name string) workload.Workload {
+	for i := range litmusSpecs {
+		if litmusSpecs[i].name == name {
+			return &litmus{spec: &litmusSpecs[i]}
 		}
 	}
 	return nil
+}
+
+// litmus runs one litmusSpec. Registers are written by their owning
+// simulated thread only (the machine runs one thread at a time, and the
+// final read happens after Run returns).
+type litmus struct {
+	spec  *litmusSpec
+	pages []uint64
+	sites []workload.Site
+	r     []uint64
+	bar   workload.Barrier
+}
+
+var _ workload.Outcomer = (*litmus)(nil)
+
+func (w *litmus) Name() string { return w.spec.name }
+
+func (w *litmus) Info() workload.Info {
+	atomics := false
+	for _, s := range w.spec.sites {
+		atomics = atomics || s.kind == workload.SiteAtomic
+	}
+	return workload.Info{Threads: w.spec.threads, FootprintMB: 1, UsesAtomics: atomics,
+		UsesCustomSync: w.spec.customSync, Desc: w.spec.desc}
+}
+
+func (w *litmus) Setup(env workload.Env) error {
+	s := w.spec
+	if env.Threads() != s.threads {
+		return fmt.Errorf("%s: defined for %d threads, not %d", s.name, s.threads, env.Threads())
+	}
+	page := env.PageSize()
+	w.pages = make([]uint64, s.pages)
+	for i := range w.pages {
+		w.pages[i] = env.Alloc(page, page)
+	}
+	w.bar = env.NewBarrier(s.prefix+".bar", s.threads)
+	w.sites = make([]workload.Site, len(s.sites))
+	for i, site := range s.sites {
+		w.sites[i] = env.Site(s.prefix+"."+site.name, site.kind, 8)
+	}
+	w.r = make([]uint64, len(s.regs))
+	for i := range w.r {
+		w.r[i] = litmusUnread
+	}
+	return nil
+}
+
+func (w *litmus) Body(t workload.Thread) {
+	for _, op := range w.spec.ops[t.ID()] {
+		if op.guard != noGuard && w.r[op.guard] != 1 {
+			continue
+		}
+		if op.kind == litmusFence {
+			t.Fence(op.order)
+			continue
+		}
+		site, addr := w.sites[op.site], w.pages[op.page]+op.off
+		atomic := w.spec.sites[op.site].kind == workload.SiteAtomic
+		switch {
+		case op.kind == litmusStore && atomic:
+			t.AtomicStore(site, addr, op.val, op.order)
+		case op.kind == litmusStore:
+			t.Store(site, addr, op.val)
+		case atomic:
+			w.r[op.reg] = t.AtomicLoad(site, addr, op.order)
+		default:
+			w.r[op.reg] = t.Load(site, addr)
+		}
+	}
+	t.Wait(w.bar)
+}
+
+func (w *litmus) Validate(env workload.Env) error {
+	for i, v := range w.spec.forbid {
+		if w.r[i] != v {
+			return nil
+		}
+	}
+	return fmt.Errorf("%s: %s", w.spec.name, w.spec.forbidMsg)
+}
+
+func (w *litmus) Outcome(env workload.Env) string {
+	out := make([]string, len(w.r))
+	for i, v := range w.r {
+		out[i] = w.spec.regs[i] + "=-"
+		if v != litmusUnread {
+			out[i] = fmt.Sprintf("%s=%d", w.spec.regs[i], v)
+		}
+	}
+	return strings.Join(out, " ")
 }

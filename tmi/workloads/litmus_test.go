@@ -1,4 +1,4 @@
-package workloads_test
+package workloads
 
 import (
 	"strings"
@@ -6,8 +6,54 @@ import (
 
 	"repro/tmi"
 	"repro/tmi/workload"
-	"repro/tmi/workloads"
 )
+
+// TestLitmusSpecsWellFormed checks every table entry against what the
+// interpreter indexes blindly: one op list per thread, sites, pages and
+// registers in range, guards on a register the thread loaded earlier, one
+// forbidden value per outcome register, and unique site and kernel names.
+func TestLitmusSpecsWellFormed(t *testing.T) {
+	kernels := map[string]bool{}
+	for _, s := range litmusSpecs {
+		if kernels[s.name] {
+			t.Errorf("duplicate kernel %q", s.name)
+		}
+		kernels[s.name] = true
+		if len(s.ops) != s.threads {
+			t.Errorf("%s: %d op lists for %d threads", s.name, len(s.ops), s.threads)
+		}
+		if len(s.forbid) != len(s.regs) {
+			t.Errorf("%s: forbidden tuple has %d values for %d registers", s.name, len(s.forbid), len(s.regs))
+		}
+		names := map[string]bool{}
+		for _, site := range s.sites {
+			if names[site.name] {
+				t.Errorf("%s: duplicate site %q", s.name, site.name)
+			}
+			names[site.name] = true
+		}
+		for tid, ops := range s.ops {
+			loaded := map[int]bool{}
+			for i, op := range ops {
+				if op.guard != noGuard && !loaded[op.guard] {
+					t.Errorf("%s: T%d op %d guards on r%d, which T%d has not loaded", s.name, tid, i, op.guard, tid)
+				}
+				if op.kind == litmusFence {
+					continue
+				}
+				if op.site < 0 || op.site >= len(s.sites) || op.page < 0 || op.page >= s.pages {
+					t.Errorf("%s: T%d op %d: site %d or page %d out of range", s.name, tid, i, op.site, op.page)
+				}
+				if op.kind == litmusLoad {
+					if op.reg < 0 || op.reg >= len(s.regs) {
+						t.Errorf("%s: T%d op %d loads into r%d of %d", s.name, tid, i, op.reg, len(s.regs))
+					}
+					loaded[op.reg] = true
+				}
+			}
+		}
+	}
+}
 
 // TestLitmusRunsCleanUnderDefaultSchedule smoke-tests every litmus kernel
 // under the default (min-clock) schedule: the kernels must set up, run and
@@ -16,31 +62,40 @@ import (
 // exploration lives in internal/mc; this test only pins that the kernels
 // are well-formed workloads.
 func TestLitmusRunsCleanUnderDefaultSchedule(t *testing.T) {
-	names := []string{
-		"litmus-sb", "litmus-mp", "litmus-lb", "litmus-iriw", "litmus-corr",
-		"litmus-brokenfence",
-	}
-	for _, name := range names {
+	for _, s := range litmusSpecs {
 		for _, sys := range []tmi.System{tmi.Pthreads, tmi.TMIAlloc} {
-			w, err := workloads.ByName(name)
+			w, err := ByName(s.name)
 			if err != nil {
-				t.Fatalf("ByName(%q): %v", name, err)
+				t.Fatalf("ByName(%q): %v", s.name, err)
 			}
 			rep, err := tmi.Run(w, tmi.Config{System: sys})
 			if err != nil {
-				t.Fatalf("%s under %v: %v", name, sys, err)
+				t.Fatalf("%s under %v: %v", s.name, sys, err)
 			}
 			if !rep.Validated {
-				t.Errorf("%s under %v: %s", name, sys, rep.ValidationErr)
+				t.Errorf("%s under %v: %s", s.name, sys, rep.ValidationErr)
 			}
-			if out, ok := w.(workload.Outcomer); ok {
-				s := out.Outcome(nil)
-				if s == "" || strings.Contains(s, "%!") {
-					t.Errorf("%s: bad outcome fingerprint %q", name, s)
-				}
-			} else {
-				t.Errorf("%s: does not implement workload.Outcomer", name)
+			out := w.(workload.Outcomer).Outcome(nil)
+			if out == "" || strings.Contains(out, "%!") {
+				t.Errorf("%s: bad outcome fingerprint %q", s.name, out)
 			}
+		}
+	}
+}
+
+// TestLitmusRejectsUndefinedThreadCount: a kernel defines its threads'
+// programs, so running it on another thread count is a setup error, not a
+// run in which the extra threads replay some defined thread's program (a
+// false race in a clean kernel) or some threads never run.
+func TestLitmusRejectsUndefinedThreadCount(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		w, err := ByName("litmus-sb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = tmi.Run(w, tmi.Config{System: tmi.Pthreads, Threads: n})
+		if err == nil || !strings.Contains(err.Error(), "litmus-sb: defined for 2 threads") {
+			t.Errorf("Threads: %d: err = %v, want a setup error naming litmus-sb and its 2 threads", n, err)
 		}
 	}
 }
