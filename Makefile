@@ -139,14 +139,19 @@ cluster-smoke:
 # detector (AllocsPerRun is meaningless under -race, so the race-harness
 # lane skips them): the binary wire codec's reader/writer, the service's
 # whole decode-convert-recycle ingest path and a detector window (Ingest
-# then Analyze, no page over the threshold) must stay at 0 allocs/op. The
+# then Analyze, no page over the threshold) must stay at 0 allocs/op, and
+# so must the simulator's access path: a coherence access, a machine
+# instruction (also under an external scheduler), a PEBS drain, a PTSB
+# commit and an access through core's wired hooks under TMI detect. The
 # per-tenant footprint gate rides along: a tmid session fed one window
 # holds at most 16 KiB of live heap at 4 KiB and 2 MiB pages, and so does
 # one fed 10,000 windows on fresh pages (within 1 KiB of its one-window
 # figure), one on 1 GiB pages sampled near page tops, and one fed the
 # largest wire TID.
 allocgate:
-	$(GO) test -run 'SteadyStateDoesNotAllocate|SessionFootprint' -count 1 ./internal/toolio ./internal/detect ./internal/service
+	$(GO) test -run 'SteadyStateDoesNotAllocate|SteadyStateAllocs|InstructionAllocs|SessionFootprint' -count 1 \
+		./internal/toolio ./internal/detect ./internal/service \
+		./internal/sim/cache ./internal/sim/machine ./internal/sim/pebs ./internal/ptsb ./internal/core
 
 # fuzz mutates migration streams (hello, checkpoint line, open-window
 # frames) into the /v1/import parser and restores every accepted one: an

@@ -15,28 +15,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/tmi"
 	"repro/tmi/workloads"
 )
 
-var systems = map[string]tmi.System{
-	"pthreads":        tmi.Pthreads,
-	"tmi-alloc":       tmi.TMIAlloc,
-	"tmi-detect":      tmi.TMIDetect,
-	"tmi-protect":     tmi.TMIProtect,
-	"sheriff-detect":  tmi.SheriffDetect,
-	"sheriff-protect": tmi.SheriffProtect,
-	"laser":           tmi.LASER,
-	"plastic":         tmi.Plastic,
-}
-
 func main() {
 	var (
 		name       = flag.String("workload", "histogramfs", "workload name (see -list)")
-		system     = flag.String("system", "tmi-protect", "pthreads|tmi-alloc|tmi-detect|tmi-protect|sheriff-detect|sheriff-protect|laser")
+		system     = flag.String("system", "tmi-protect", "pthreads|tmi-alloc|tmi-detect|tmi-protect|sheriff-detect|sheriff-protect|laser|plastic")
 		threads    = flag.Int("threads", 0, "override thread count")
 		period     = flag.Int("period", 100, "perf sampling period")
 		huge       = flag.Bool("hugepages", false, "back shared memory with 2 MiB pages")
@@ -60,14 +47,9 @@ func main() {
 		return
 	}
 
-	sys, ok := systems[*system]
-	if !ok {
-		var names []string
-		for n := range systems {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(os.Stderr, "tmirun: unknown system %q (one of %s)\n", *system, strings.Join(names, ", "))
+	sys, err := tmi.ParseSystem(*system)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tmirun:", err)
 		os.Exit(2)
 	}
 	w, err := workloads.ByName(*name)

@@ -19,17 +19,6 @@ import (
 	"repro/tmi/workloads"
 )
 
-var systems = map[string]tmi.System{
-	"pthreads":        tmi.Pthreads,
-	"tmi-alloc":       tmi.TMIAlloc,
-	"tmi-detect":      tmi.TMIDetect,
-	"tmi-protect":     tmi.TMIProtect,
-	"sheriff-detect":  tmi.SheriffDetect,
-	"sheriff-protect": tmi.SheriffProtect,
-	"laser":           tmi.LASER,
-	"plastic":         tmi.Plastic,
-}
-
 func main() {
 	var (
 		name   = flag.String("workload", "histogramfs", "workload name (see tmirun -list)")
@@ -39,9 +28,9 @@ func main() {
 	)
 	flag.Parse()
 
-	sys, ok := systems[*system]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tmitrace: unknown system %q\n", *system)
+	sys, err := tmi.ParseSystem(*system)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tmitrace:", err)
 		os.Exit(2)
 	}
 	w, err := workloads.ByName(*name)

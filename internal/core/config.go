@@ -103,10 +103,6 @@ type Config struct {
 	ThresholdPerSec float64
 	// Seed fixes the run's determinism.
 	Seed int64
-	// CacheLines bounds each core's private cache (FIFO eviction); 0 keeps
-	// the default unlimited model, which contention behavior does not
-	// depend on.
-	CacheLines int
 	// AdaptivePeriod lets the detection thread retune the sampling period
 	// each interval to hold the record rate inside a target band — an
 	// extension automating Figure 4's accuracy/overhead tradeoff. Period

@@ -1,141 +1,23 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/disasm"
-	"repro/internal/sim/cache"
 	"repro/internal/sim/machine"
+	"repro/internal/sim/trace"
 )
 
-// This file fixes the runtime's hook-chain composition. Chains are built
-// from declared layers sorted by a fixed priority, so which layer sees an
-// event first does not depend on the order the layers are registered in,
-// and region exit unwinds in reverse of region enter:
+// This file holds the runtime's machine hooks, which build installs. Three
+// fixed layers see the run's events, in a fixed order:
 //
-//	region enter:  tracer → observer → controller (CCC)
-//	region exit:   controller → observer → tracer (reverse)
-//	post-access:   tracer → observer → controller (costs sum)
-//	value/sync/wake: tracer → observer → controller
+//	region enter, sync: tracer → observer → controller (CCC, PTSB commit)
+//	region exit:        controller → observer → tracer (reverse)
+//	post-access:        rt.postAccess (sampling and backend costs)
+//	value, wake:        observer only, installed only when one is set
 //
 // The tracer is outermost so the trace brackets everything the other
 // layers do; the CCC controller is innermost because it owns the semantics
 // (its Enter performs the PTSB flush the others only observe). The order is
 // pinned by TestHookChainOrderIsDeterministic.
-
-// layerPriority orders hook layers outermost-first.
-type layerPriority int
-
-const (
-	layerTracer layerPriority = iota
-	layerObserver
-	layerController
-)
-
-// hookLayer is one subsystem's contribution to the machine hook chain. Any
-// field may be nil.
-type hookLayer struct {
-	prio        layerPriority
-	regionEnter func(t *machine.Thread, k machine.RegionKind)
-	regionExit  func(t *machine.Thread, k machine.RegionKind)
-	postAccess  func(t *machine.Thread, acc *machine.Access, res cache.Result) int64
-	onValue     func(t *machine.Thread, acc *machine.Access, val uint64)
-	onSync      func(t *machine.Thread)
-	onWake      func(t, other *machine.Thread)
-}
-
-// composedHooks is the deterministic composition of a layer set: the chains
-// are preresolved call slices built once at configuration time, so event
-// dispatch at run time is a bounds-checked loop over a flat slice — no
-// nested closure hops, no per-event composition work.
-type composedHooks struct {
-	enters []func(t *machine.Thread, k machine.RegionKind)
-	exits  []func(t *machine.Thread, k machine.RegionKind)
-	posts  []func(t *machine.Thread, acc *machine.Access, res cache.Result) int64
-	values []func(t *machine.Thread, acc *machine.Access, val uint64)
-	syncs  []func(t *machine.Thread)
-	wakes  []func(t, other *machine.Thread)
-}
-
-func (c *composedHooks) regionEnter(t *machine.Thread, k machine.RegionKind) {
-	for _, f := range c.enters {
-		f(t, k)
-	}
-}
-
-func (c *composedHooks) regionExit(t *machine.Thread, k machine.RegionKind) {
-	for i := len(c.exits) - 1; i >= 0; i-- {
-		c.exits[i](t, k)
-	}
-}
-
-func (c *composedHooks) postAccess(t *machine.Thread, acc *machine.Access, res cache.Result) int64 {
-	var total int64
-	for _, f := range c.posts {
-		total += f(t, acc, res)
-	}
-	return total
-}
-
-func (c *composedHooks) onValue(t *machine.Thread, acc *machine.Access, val uint64) {
-	for _, f := range c.values {
-		f(t, acc, val)
-	}
-}
-
-func (c *composedHooks) onSync(t *machine.Thread) {
-	for _, f := range c.syncs {
-		f(t)
-	}
-}
-
-func (c *composedHooks) onWake(t, other *machine.Thread) {
-	for _, f := range c.wakes {
-		f(t, other)
-	}
-}
-
-// hook returns fn as a machine hook, or nil when no layer contributed — the
-// machine fast-paths nil hooks, so empty chains cost nothing per event.
-func hook[F any](n int, fn F) F {
-	if n == 0 {
-		var zero F
-		return zero
-	}
-	return fn
-}
-
-// composeLayers sorts layers by priority (stably, so equal priorities keep
-// registration order) and flattens each hook kind into its call slice:
-// enter-like hooks run outermost-first, regionExit runs innermost-first,
-// and postAccess costs are summed.
-func composeLayers(layers []hookLayer) composedHooks {
-	sorted := append([]hookLayer(nil), layers...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].prio < sorted[j].prio })
-
-	var c composedHooks
-	for _, l := range sorted {
-		if l.regionEnter != nil {
-			c.enters = append(c.enters, l.regionEnter)
-		}
-		if l.regionExit != nil {
-			c.exits = append(c.exits, l.regionExit)
-		}
-		if l.postAccess != nil {
-			c.posts = append(c.posts, l.postAccess)
-		}
-		if l.onValue != nil {
-			c.values = append(c.values, l.onValue)
-		}
-		if l.onSync != nil {
-			c.syncs = append(c.syncs, l.onSync)
-		}
-		if l.onWake != nil {
-			c.wakes = append(c.wakes, l.onWake)
-		}
-	}
-	return c
-}
 
 // AccessInfo is one completed memory access as reported to an Observer:
 // plain data, no machine internals, so observers (the model checker) stay
@@ -168,50 +50,60 @@ type Observer interface {
 	OnWake(waker, wakee int)
 }
 
-// buildLayers assembles the runtime's hook layers from its configuration.
-func (rt *runtime) buildLayers() []hookLayer {
-	var layers []hookLayer
-	// Controller layer (always): CCC region semantics, PTSB commit at sync,
-	// and the base cost model.
-	layers = append(layers, hookLayer{
-		prio:        layerController,
-		regionEnter: rt.cccCtl.Enter,
-		regionExit:  rt.cccCtl.Exit,
-		postAccess:  rt.postAccess,
-		onSync:      rt.commitSync,
-	})
-	if rt.cfg.Observer != nil {
-		obs := rt.cfg.Observer
-		layers = append(layers, hookLayer{
-			prio: layerObserver,
-			regionEnter: func(t *machine.Thread, k machine.RegionKind) {
-				obs.OnRegion(t.ID, k, true)
-			},
-			regionExit: func(t *machine.Thread, k machine.RegionKind) {
-				obs.OnRegion(t.ID, k, false)
-			},
-			onValue: func(t *machine.Thread, acc *machine.Access, val uint64) {
-				info := &rt.accScratch[t.ID]
-				*info = AccessInfo{
-					TID: t.ID, PC: acc.PC, Addr: acc.Addr, Size: acc.Size,
-					Write: acc.Write, Atomic: acc.Atomic, Value: val,
-				}
-				si, ok := disasm.Lookup(rt.sites, acc.PC)
-				if !ok {
-					si, ok = rt.prog.Disassemble(acc.PC) // registered after Setup
-				}
-				if ok {
-					info.Runtime = si.Runtime
-					info.Site = si.Name
-				}
-				obs.OnAccess(info)
-			},
-			onSync: func(t *machine.Thread) { obs.OnSync(t.ID) },
-			onWake: func(t, other *machine.Thread) { obs.OnWake(t.ID, other.ID) },
-		})
+func (rt *runtime) regionEnter(t *machine.Thread, k machine.RegionKind) {
+	if rt.tracer != nil {
+		rt.tracer.Record(t.Clock(), t.ID, trace.KindRegionEnter, uint64(k))
+	}
+	if obs := rt.cfg.Observer; obs != nil {
+		obs.OnRegion(t.ID, k, true)
+	}
+	rt.cccCtl.Enter(t, k)
+}
+
+func (rt *runtime) regionExit(t *machine.Thread, k machine.RegionKind) {
+	rt.cccCtl.Exit(t, k)
+	if obs := rt.cfg.Observer; obs != nil {
+		obs.OnRegion(t.ID, k, false)
 	}
 	if rt.tracer != nil {
-		layers = append(layers, rt.tracerLayer())
+		rt.tracer.Record(t.Clock(), t.ID, trace.KindRegionExit, uint64(k))
 	}
-	return layers
+}
+
+// onSync is psync's synchronization-boundary hook: the controller's part
+// is the PTSB commit.
+func (rt *runtime) onSync(t *machine.Thread) {
+	if rt.tracer != nil {
+		rt.tracer.Record(t.Clock(), t.ID, trace.KindSync, 0)
+	}
+	if obs := rt.cfg.Observer; obs != nil {
+		obs.OnSync(t.ID)
+	}
+	if cost := rt.ptsbE.Commit(t); cost > 0 {
+		t.AddCost(cost)
+		if rt.tracer != nil {
+			rt.tracer.Record(t.Clock(), t.ID, trace.KindCommit, uint64(cost))
+		}
+	}
+}
+
+func (rt *runtime) onValue(t *machine.Thread, acc *machine.Access, val uint64) {
+	info := &rt.accScratch[t.ID]
+	*info = AccessInfo{
+		TID: t.ID, PC: acc.PC, Addr: acc.Addr, Size: acc.Size,
+		Write: acc.Write, Atomic: acc.Atomic, Value: val,
+	}
+	si, ok := disasm.Lookup(rt.sites, acc.PC)
+	if !ok {
+		si, ok = rt.prog.Disassemble(acc.PC) // registered after Setup
+	}
+	if ok {
+		info.Runtime = si.Runtime
+		info.Site = si.Name
+	}
+	rt.cfg.Observer.OnAccess(info)
+}
+
+func (rt *runtime) onWake(t, other *machine.Thread) {
+	rt.cfg.Observer.OnWake(t.ID, other.ID)
 }

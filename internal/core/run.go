@@ -9,7 +9,6 @@ import (
 	"repro/internal/ccc"
 	"repro/internal/detect"
 	"repro/internal/disasm"
-	"repro/internal/perfev"
 	"repro/internal/psync"
 	"repro/internal/ptsb"
 	"repro/internal/repair"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/sim/machine"
 	"repro/internal/sim/mem"
 	"repro/internal/sim/osim"
+	"repro/internal/sim/pebs"
 	"repro/internal/sim/trace"
 	"repro/tmi/workload"
 )
@@ -82,7 +82,7 @@ type runtime struct {
 	// only when the backend imposes a per-access cost after engaging.
 	backend     repair.Backend
 	backendCost repair.AccessCoster
-	mon         *perfev.Monitor
+	sampler     *pebs.Sampler
 	det         *detect.Detector
 	maps        *osim.AddressMap
 
@@ -101,10 +101,10 @@ type runtime struct {
 	events    []string
 	tracer    *trace.Recorder
 	sampleLog *trace.SampleLog
-	hooksC    composedHooks
 	// accScratch holds one AccessInfo per thread, reused for every observer
 	// OnAccess dispatch (the observer must not retain the pointer). sites
-	// is the observer's copy of the site table, taken after Setup.
+	// is the observer's copy of the site table, taken after Setup. Both
+	// are set only when an Observer is.
 	accScratch []AccessInfo
 	sites      []disasm.SiteInfo
 
@@ -204,9 +204,6 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 		}
 	}
 	rt.mc = machine.New(machine.Config{Cores: threads, Seed: cfg.Seed, Mem: rt.memory, Cache: cacheS})
-	if cfg.CacheLines > 0 {
-		rt.mc.Cache().SetCapacity(cfg.CacheLines)
-	}
 	for _, th := range rt.mc.Threads() {
 		th.SetSpace(rt.app.Space)
 		rt.app.Threads = append(rt.app.Threads, th)
@@ -237,32 +234,32 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 	}
 
 	if cfg.Setup.Monitors() {
-		rt.mon = perfev.NewMonitor(threads, cfg.Period, cfg.Seed)
+		rt.sampler = pebs.NewSampler(threads, cfg.Period, cfg.Seed)
 	}
 
 	if cfg.Trace {
 		rt.tracer = trace.NewRecorder(1 << 16)
 	}
-	// Hook chains compose from declared layers in a fixed priority order
-	// (see hooks.go), so tracer and observer interleave deterministically
-	// no matter which configuration flags are set.
-	rt.accScratch = make([]AccessInfo, threads)
-	rt.hooksC = composeLayers(rt.buildLayers())
-	rt.mc.SetHooks(machine.Hooks{
+	// The layers are wired in a fixed order (see hooks.go).
+	hooks := machine.Hooks{
 		SpaceFor:    rt.cccCtl.SpaceFor,
 		OnFault:     rt.onFault,
-		PostAccess:  hook(len(rt.hooksC.posts), rt.hooksC.postAccess),
-		RegionEnter: hook(len(rt.hooksC.enters), rt.hooksC.regionEnter),
-		RegionExit:  hook(len(rt.hooksC.exits), rt.hooksC.regionExit),
-		OnValue:     hook(len(rt.hooksC.values), rt.hooksC.onValue),
-		OnWake:      hook(len(rt.hooksC.wakes), rt.hooksC.onWake),
+		PostAccess:  rt.postAccess,
+		RegionEnter: rt.regionEnter,
+		RegionExit:  rt.regionExit,
 		OnFirstTouch: func(t *machine.Thread, tr mem.Translation) int64 {
 			if tr.Page == nil { // bulk-region fault: one-time cost, compressed
 				return backing.FaultCost() / BulkFaultCompression
 			}
 			return backing.FaultCost()
 		},
-	})
+	}
+	if cfg.Observer != nil {
+		rt.accScratch = make([]AccessInfo, threads)
+		hooks.OnValue = rt.onValue
+		hooks.OnWake = rt.onWake
+	}
+	rt.mc.SetHooks(hooks)
 	if cfg.Scheduler != nil {
 		rt.mc.SetScheduler(cfg.Scheduler)
 	}
@@ -282,7 +279,7 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 		rt.det = detect.New(detect.Config{
 			ThresholdPerSec: cfg.ThresholdPerSec,
 			MinRecords:      detect.DefaultConfig().MinRecords,
-		}, rt.mon, rt.prog, rt.maps, rt.memory.PageTable(), pageSize)
+		}, rt.sampler, rt.prog, rt.maps, rt.memory.PageTable(), pageSize)
 		rt.det.History = detect.NewHistory()
 		if cfg.CaptureSamples {
 			rt.sampleLog = &trace.SampleLog{PageSize: pageSize}
@@ -293,27 +290,17 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 	}
 	rt.laserEnabled = cfg.Setup == LASER && !info.SyncHeavy
 
-	// Sheriff: processes from startup, PTSB over all of memory.
-	if cfg.Setup.IsSheriff() {
+	// Sheriff runs processes from startup with the PTSB over all of memory.
+	// ForceProtect does the same while keeping the TMI environment (CCC on,
+	// no monitors under TMIAlloc): how the model checker exercises page
+	// twinning deterministically.
+	if cfg.Setup.IsSheriff() || cfg.ForceProtect && cfg.Setup.IsTMI() {
 		if err := rt.repairE.ConvertAllNow(0); err != nil {
-			return nil, fmt.Errorf("core: sheriff convert: %w", err)
+			return nil, fmt.Errorf("core: %s convert: %w", cfg.Setup, err)
 		}
 		for _, p := range rt.heapPages() {
 			if err := rt.ptsbE.Protect(p, rt.repairE.Spaces()); err != nil {
-				return nil, fmt.Errorf("core: sheriff protect: %w", err)
-			}
-		}
-	}
-	// ForceProtect arms the PTSB over the whole heap from startup while
-	// keeping the TMI environment (CCC on, no monitors under TMIAlloc) —
-	// how the model checker exercises page twinning deterministically.
-	if cfg.ForceProtect && cfg.Setup.IsTMI() {
-		if err := rt.repairE.ConvertAllNow(0); err != nil {
-			return nil, fmt.Errorf("core: force convert: %w", err)
-		}
-		for _, p := range rt.heapPages() {
-			if err := rt.ptsbE.Protect(p, rt.repairE.Spaces()); err != nil {
-				return nil, fmt.Errorf("core: force protect: %w", err)
+				return nil, fmt.Errorf("core: %s protect: %w", cfg.Setup, err)
 			}
 		}
 	}
@@ -372,38 +359,6 @@ func (rt *runtime) layout() []string {
 	return out
 }
 
-// onSync is psync's synchronization-boundary hook; it dispatches through
-// the composed chain (tracer → observer → controller).
-func (rt *runtime) onSync(t *machine.Thread) {
-	rt.hooksC.onSync(t)
-}
-
-// commitSync is the controller layer's sync handler: the PTSB commit.
-func (rt *runtime) commitSync(t *machine.Thread) {
-	if cost := rt.ptsbE.Commit(t); cost > 0 {
-		t.AddCost(cost)
-		if rt.tracer != nil {
-			rt.tracer.Record(t.Clock(), t.ID, trace.KindCommit, uint64(cost))
-		}
-	}
-}
-
-// tracerLayer is the outermost hook layer: structured event recording.
-func (rt *runtime) tracerLayer() hookLayer {
-	return hookLayer{
-		prio: layerTracer,
-		regionEnter: func(t *machine.Thread, k machine.RegionKind) {
-			rt.tracer.Record(t.Clock(), t.ID, trace.KindRegionEnter, uint64(k))
-		},
-		regionExit: func(t *machine.Thread, k machine.RegionKind) {
-			rt.tracer.Record(t.Clock(), t.ID, trace.KindRegionExit, uint64(k))
-		},
-		onSync: func(t *machine.Thread) {
-			rt.tracer.Record(t.Clock(), t.ID, trace.KindSync, 0)
-		},
-	}
-}
-
 func (rt *runtime) onFault(t *machine.Thread, acc *machine.Access, f *mem.Fault) (bool, int64) {
 	if f.Kind == mem.FaultProtWrite {
 		handled, cost := rt.ptsbE.HandleWriteFault(t, acc.Addr)
@@ -417,8 +372,8 @@ func (rt *runtime) onFault(t *machine.Thread, acc *machine.Access, f *mem.Fault)
 
 func (rt *runtime) postAccess(t *machine.Thread, acc *machine.Access, res cache.Result) int64 {
 	var extra int64
-	if res.HITM && rt.mon != nil {
-		extra += rt.mon.Sampler().OnHITM(t.ID, t.Core, acc.PC, acc.Addr, acc.Size, acc.Write, t.Clock())
+	if res.HITM && rt.sampler != nil {
+		extra += rt.sampler.OnHITM(t.ID, t.Core, acc.PC, acc.Addr, acc.Size, acc.Write, t.Clock())
 	}
 	if rt.backendCost != nil {
 		extra += rt.backendCost.AccessCost(t)
@@ -485,12 +440,12 @@ func (rt *runtime) maybeTeardown(now int64) {
 }
 
 func (rt *runtime) adaptPeriod(windowRecords uint64) {
-	p := rt.mon.Period()
+	p := rt.sampler.Period()
 	next := detect.DefaultPeriodController().Next(p, windowRecords)
 	if next == p {
 		return
 	}
-	rt.mon.SetPeriod(next)
+	rt.sampler.SetPeriod(next)
 	rt.notes["adaptive.period"] = float64(next)
 }
 
@@ -646,8 +601,8 @@ func (rt *runtime) execute(w workload.Workload) (*Report, error) {
 		Cache:      rt.mc.Cache().Stats(),
 	}
 	rep.HITMEvents = rep.Cache.HITM
-	if rt.mon != nil {
-		rep.Dropped = rt.mon.Dropped()
+	if rt.sampler != nil {
+		rep.Dropped = rt.sampler.Dropped()
 	}
 	if rt.det != nil {
 		rep.RecordsSeen = rt.det.TotalRecords
@@ -661,7 +616,7 @@ func (rt *runtime) execute(w workload.Workload) (*Report, error) {
 			rep.Lines = append(rep.Lines, lr)
 		}
 		sort.Slice(rep.Lines, func(i, j int) bool { return rep.Lines[i].Line < rep.Lines[j].Line })
-		rep.PredictedManualSpeedup = h.PredictManualSpeedup(rt.mon.Period(), rt.mc.Elapsed(), rt.threads)
+		rep.PredictedManualSpeedup = h.PredictManualSpeedup(rt.sampler.Period(), rt.mc.Elapsed(), rt.threads)
 		rep.LineSizePredictions = h.PredictLineSizes()
 	}
 	rep.Sites = rt.prog.Sites()
@@ -689,8 +644,8 @@ func (rt *runtime) execute(w workload.Workload) (*Report, error) {
 	}
 
 	rep.MemBytes = rt.memory.AccountedBytes()
-	if rt.mon != nil {
-		rep.MemBytes += rt.mon.FootprintBytes()
+	if rt.sampler != nil {
+		rep.MemBytes += rt.sampler.FootprintBytes()
 	}
 	if rt.det != nil {
 		rep.MemBytes += rt.det.FootprintBytes()

@@ -31,9 +31,9 @@ import (
 	"repro/internal/sim/pebs"
 )
 
-// Ingestor supplies the detector's record stream: what perfev.Monitor
-// provides in an embedded run, and what a replayed or network-fed source
-// provides when no live machine exists. DrainInto appends all pending
+// Ingestor supplies the detector's record stream: what the PEBS sampler
+// (*pebs.Sampler, the perf boundary) provides in an embedded run, and what
+// a replayed or network-fed source provides when no live machine exists. DrainInto appends all pending
 // records to dst and returns the extended slice, so a caller-owned scratch
 // buffer keeps the per-tick drain allocation-free.
 type Ingestor interface {
@@ -262,7 +262,7 @@ type Detector struct {
 	History *History
 }
 
-// New creates a detector. src is the record source (a *perfev.Monitor in
+// New creates a detector. src is the record source (a *pebs.Sampler in
 // embedded runs); nil is allowed when the caller only uses the direct
 // Ingest/Analyze path. tab is the run's page-interning table, read only to
 // reset a line whose page is remapped mid-window; nil (the tmid service,

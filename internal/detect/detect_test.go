@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/disasm"
-	"repro/internal/perfev"
 	"repro/internal/sim/osim"
+	"repro/internal/sim/pebs"
 )
 
 const (
@@ -17,9 +17,9 @@ const (
 )
 
 type fixture struct {
-	mon  *perfev.Monitor
-	prog *disasm.Program
-	det  *Detector
+	sampler *pebs.Sampler
+	prog    *disasm.Program
+	det     *Detector
 
 	ld, st disasm.Site
 }
@@ -27,15 +27,15 @@ type fixture struct {
 func newFixture(t *testing.T, period int, cfg Config) *fixture {
 	t.Helper()
 	f := &fixture{
-		mon:  perfev.NewMonitor(4, period, 99),
-		prog: disasm.NewProgram(),
+		sampler: pebs.NewSampler(4, period, 99),
+		prog:    disasm.NewProgram(),
 	}
 	f.ld = f.prog.Site("w.load", disasm.KindLoad, 8)
 	f.st = f.prog.Site("w.store", disasm.KindStore, 8)
 	var maps osim.AddressMap
 	maps.AddRegion(heapLo, heapHi, osim.RegionHeap, "heap")
 	maps.AddRegion(libLo, libHi, osim.RegionLib, "libc")
-	f.det = New(cfg, f.mon, f.prog, &maps, nil, 4096)
+	f.det = New(cfg, f.sampler, f.prog, &maps, nil, 4096)
 	f.det.History = NewHistory()
 	return f
 }
@@ -43,9 +43,8 @@ func newFixture(t *testing.T, period int, cfg Config) *fixture {
 // feed pushes n HITM events for (tid, pc, addr); with period p, roughly n/p
 // records reach the buffers (exactly, for load events).
 func (f *fixture) feed(tid int, pc, addr uint64, write bool, n int) {
-	s := f.mon.Sampler()
 	for i := 0; i < n; i++ {
-		s.OnHITM(tid, tid, pc, addr, 8, write, int64(i))
+		f.sampler.OnHITM(tid, tid, pc, addr, 8, write, int64(i))
 	}
 }
 

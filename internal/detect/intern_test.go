@@ -4,11 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/disasm"
-	"repro/internal/perfev"
 	"repro/internal/raceflag"
 	"repro/internal/sim/intern"
 	"repro/internal/sim/mem"
 	"repro/internal/sim/osim"
+	"repro/internal/sim/pebs"
 )
 
 // internedFixture is the detector wired the way core wires it: against a
@@ -32,15 +32,15 @@ func newInternedFixture(t *testing.T, period int, cfg Config) *internedFixture {
 	space.Map(heapLo, npages, file, 0, false, mem.ProtRW)
 
 	f := &fixture{
-		mon:  perfev.NewMonitor(4, period, 99),
-		prog: disasm.NewProgram(),
+		sampler: pebs.NewSampler(4, period, 99),
+		prog:    disasm.NewProgram(),
 	}
 	f.ld = f.prog.Site("w.load", disasm.KindLoad, 8)
 	f.st = f.prog.Site("w.store", disasm.KindStore, 8)
 	var maps osim.AddressMap
 	maps.AddRegion(heapLo, heapHi, osim.RegionHeap, "heap")
 	maps.AddRegion(libLo, libHi, osim.RegionLib, "libc")
-	f.det = New(cfg, f.mon, f.prog, &maps, memory.PageTable(), 4096)
+	f.det = New(cfg, f.sampler, f.prog, &maps, memory.PageTable(), 4096)
 	f.det.History = NewHistory()
 	return &internedFixture{fixture: f, memory: memory, space: space, file: file, npages: npages}
 }

@@ -32,24 +32,3 @@ func TestAccessSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state Access allocates %.1f/op, want 0", allocs)
 	}
 }
-
-// The capacity-bounded configuration reaches an allocation-free steady
-// state too once the FIFO ring has grown to its working size.
-func TestAccessCapacityAllocsAmortized(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("AllocsPerRun is meaningless under -race")
-	}
-	s := New(2)
-	s.SetCapacity(8)
-	for i := uint64(0); i < 4096; i++ {
-		s.Access(int(i%2), 0x1000+(i%32)*LineSize, 8, true, false)
-	}
-	i := uint64(0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.Access(int(i%2), 0x1000+(i%8)*LineSize, 8, false, false)
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("warm capacity-mode Access allocates %.1f/op, want 0", allocs)
-	}
-}

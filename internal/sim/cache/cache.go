@@ -17,7 +17,10 @@
 // allocated once, the first time any line in it is touched.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is a MESI line state as seen by one core.
 type State uint8
@@ -68,68 +71,6 @@ func newLineBlock() *lineBlock {
 	return b
 }
 
-// coreCache tracks one core's resident lines for capacity modeling: a FIFO
-// of fills (the eviction policy real simulators commonly approximate LRU
-// with) plus the resident set, as block-paged fill-sequence slices (seq 0 =
-// not resident).
-type coreCache struct {
-	fifo     []fifoEntry
-	head     int
-	resident []*[blockLines]uint64 // line-block -> fill sequences
-	count    int                   // resident lines
-	seq      uint64
-}
-
-type fifoEntry struct {
-	la  uint64
-	seq uint64
-}
-
-func (c *coreCache) slot(la uint64) *uint64 {
-	li := la / LineSize
-	bi := li / blockLines
-	for uint64(len(c.resident)) <= bi {
-		c.resident = append(c.resident, nil)
-	}
-	b := c.resident[bi]
-	if b == nil {
-		b = new([blockLines]uint64)
-		c.resident[bi] = b
-	}
-	return &b[li%blockLines]
-}
-
-func (c *coreCache) noteFill(la uint64, capacity int) (evict uint64, ok bool) {
-	slot := c.slot(la)
-	if *slot != 0 {
-		return 0, false
-	}
-	c.seq++
-	*slot = c.seq
-	c.count++
-	c.fifo = append(c.fifo, fifoEntry{la, c.seq})
-	for c.count > capacity && c.head < len(c.fifo) {
-		victim := c.fifo[c.head]
-		c.head++
-		// Skip entries invalidated or refilled since this fill.
-		vs := c.slot(victim.la)
-		if *vs == victim.seq {
-			*vs = 0
-			c.count--
-			return victim.la, true
-		}
-	}
-	return 0, false
-}
-
-func (c *coreCache) drop(la uint64) {
-	s := c.slot(la)
-	if *s != 0 {
-		*s = 0
-		c.count--
-	}
-}
-
 // HITMEvent is emitted when an access by Core hits a line held Modified by
 // Source. It is the raw hardware event behind PEBS sampling.
 type HITMEvent struct {
@@ -156,7 +97,6 @@ type Stats struct {
 	Upgrades      uint64
 	Invalidations uint64
 	Writebacks    uint64
-	Evictions     uint64
 	// Cross-socket events; always zero on the flat single-socket default.
 	RemoteHITM  uint64 // HITMs served across the socket interconnect
 	RemoteFills uint64 // LLC/DRAM fills whose home node was remote
@@ -186,10 +126,6 @@ type System struct {
 	blocks   []*lineBlock // line directory, block-paged by line number
 	stats    Stats
 	onHITM   func(HITMEvent)
-	// capacity is the per-core private cache size in lines; 0 = unlimited
-	// (the default: contention modeling does not depend on it).
-	capacity int
-	cores    []*coreCache
 	// sockets > 1 activates the two-level topology (topology.go); 0 is the
 	// flat single-socket default with no penalties anywhere.
 	sockets int
@@ -200,28 +136,15 @@ type System struct {
 	isolated map[uint64][]line
 }
 
-// New returns a coherence system for numCores cores (max 64) with unlimited
-// per-core capacity.
+// New returns a coherence system for numCores cores (max 64). Private
+// caches are unbounded: a core keeps every line it fetched until another
+// core's store invalidates it (contention modeling does not depend on
+// capacity).
 func New(numCores int) *System {
 	if numCores < 1 || numCores > 64 {
 		panic(fmt.Sprintf("cache: unsupported core count %d", numCores))
 	}
 	return &System{numCores: numCores}
-}
-
-// SetCapacity bounds each core's private cache to n lines (FIFO eviction);
-// n <= 0 restores the unlimited default. Call before any Access.
-func (s *System) SetCapacity(n int) {
-	if n <= 0 {
-		s.capacity = 0
-		s.cores = nil
-		return
-	}
-	s.capacity = n
-	s.cores = make([]*coreCache, s.numCores)
-	for i := range s.cores {
-		s.cores[i] = &coreCache{}
-	}
 }
 
 // getLine returns the directory entry for the line at physical line address
@@ -249,39 +172,6 @@ func (s *System) peekLine(la uint64) *line {
 		return nil
 	}
 	return &s.blocks[bi][li%blockLines]
-}
-
-// noteFill records that core now holds la and performs a capacity eviction
-// if needed: the victim leaves the core's sharer set, with a writeback if
-// the core held it Modified.
-func (s *System) noteFill(core int, la uint64) {
-	if s.capacity == 0 {
-		return
-	}
-	victim, ok := s.cores[core].noteFill(la, s.capacity)
-	if !ok || victim == la {
-		return
-	}
-	ln := s.peekLine(victim)
-	if ln == nil || ln.sharers&(1<<uint(core)) == 0 {
-		return
-	}
-	if ln.dirty && int(ln.owner) == core {
-		s.stats.Writebacks++
-		ln.dirty = false
-	}
-	ln.sharers &^= 1 << uint(core)
-	if int(ln.owner) == core {
-		ln.owner = -1
-	}
-	s.stats.Evictions++
-}
-
-// noteInvalidate drops la from core's residence tracking.
-func (s *System) noteInvalidate(core int, la uint64) {
-	if s.capacity != 0 {
-		s.cores[core].drop(la)
-	}
 }
 
 // OnHITM installs the HITM event callback (the PEBS sampler). The callback
@@ -381,7 +271,6 @@ func (s *System) accessLine(core int, la uint64, write bool) Result {
 			ln.dirty = false
 			ln.owner = -1
 			ln.sharers |= bit
-			s.noteFill(core, la)
 			return Result{Latency: LatHITM + s.hitmPenalty(core, src), HITM: true, Source: src}
 		case ln.sharers != 0:
 			// Clean copy in another cache / LLC.
@@ -391,14 +280,12 @@ func (s *System) accessLine(core int, la uint64, write bool) Result {
 				// Demote a remote Exclusive holder to Shared.
 				ln.owner = -1
 			}
-			s.noteFill(core, la)
 			return Result{Latency: LatLLC + s.fillPenalty(core, la)}
 		default:
 			s.stats.DRAMFills++
 			ln.sharers = bit
 			ln.owner = int8(core)
 			ln.dirty = false // Exclusive
-			s.noteFill(core, la)
 			return Result{Latency: LatDRAM + s.fillPenalty(core, la)}
 		}
 	}
@@ -417,16 +304,14 @@ func (s *System) accessLine(core int, la uint64, write bool) Result {
 		s.stats.Invalidations++
 		ln.hitm++
 		src := int(ln.owner)
-		s.noteInvalidate(src, la)
 		ln.sharers = bit
 		ln.owner = int8(core)
 		ln.dirty = true
-		s.noteFill(core, la)
 		return Result{Latency: LatHITM + s.hitmPenalty(core, src), HITM: true, Source: src}
 	case holds:
 		// Shared locally: upgrade, invalidating other sharers.
 		s.stats.Upgrades++
-		s.invalidateOthers(ln, core, la)
+		s.invalidateOthers(ln, core)
 		ln.sharers = bit
 		ln.owner = int8(core)
 		ln.dirty = true
@@ -434,18 +319,16 @@ func (s *System) accessLine(core int, la uint64, write bool) Result {
 	case ln.sharers != 0:
 		// Clean copies elsewhere: invalidate and take ownership.
 		s.stats.LLCHits++
-		s.invalidateOthers(ln, core, la)
+		s.invalidateOthers(ln, core)
 		ln.sharers = bit
 		ln.owner = int8(core)
 		ln.dirty = true
-		s.noteFill(core, la)
 		return Result{Latency: LatLLC + s.fillPenalty(core, la)}
 	default:
 		s.stats.DRAMFills++
 		ln.sharers = bit
 		ln.owner = int8(core)
 		ln.dirty = true
-		s.noteFill(core, la)
 		return Result{Latency: LatDRAM + s.fillPenalty(core, la)}
 	}
 }
@@ -477,26 +360,8 @@ func (s *System) CheckSWMR() error {
 	return nil
 }
 
-// invalidateOthers removes every core but `core` from the line's sharer
-// set, counting the invalidations and updating residence tracking.
-func (s *System) invalidateOthers(ln *line, core int, la uint64) {
-	others := ln.sharers &^ (1 << uint(core))
-	s.stats.Invalidations += uint64(popcount(others))
-	if s.capacity != 0 {
-		for c := 0; others != 0 && c < s.numCores; c++ {
-			if others&(1<<uint(c)) != 0 {
-				s.noteInvalidate(c, la)
-				others &^= 1 << uint(c)
-			}
-		}
-	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+// invalidateOthers counts the invalidations of every core but `core` in
+// the line's sharer set; the caller then narrows the set.
+func (s *System) invalidateOthers(ln *line, core int) {
+	s.stats.Invalidations += uint64(bits.OnesCount64(ln.sharers &^ (1 << uint(core))))
 }

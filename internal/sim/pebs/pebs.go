@@ -92,10 +92,9 @@ type Sampler struct {
 	counters []int
 	buffers  []*Buffer
 	rngs     []*rand.Rand
-	enabled  bool
 
 	// Totals for the Figure 4 sweep.
-	EventsSeen      uint64 // raw HITM events observed while enabled
+	EventsSeen      uint64 // raw HITM events observed
 	RecordsEmitted  uint64
 	InterruptsTaken uint64
 }
@@ -106,7 +105,7 @@ func NewSampler(nThreads, period int, seed int64) *Sampler {
 	if period < 1 {
 		period = 1
 	}
-	s := &Sampler{period: period, enabled: true}
+	s := &Sampler{period: period}
 	for i := 0; i < nThreads; i++ {
 		s.counters = append(s.counters, 0)
 		s.buffers = append(s.buffers, &Buffer{})
@@ -130,11 +129,27 @@ func (s *Sampler) SetPeriod(p int) {
 	}
 }
 
-// SetEnabled turns sampling on or off (detection can be disabled entirely).
-func (s *Sampler) SetEnabled(on bool) { s.enabled = on }
-
 // Buffer returns thread tid's record buffer.
 func (s *Sampler) Buffer(tid int) *Buffer { return s.buffers[tid] }
+
+// DrainInto appends every thread's pending records to dst, in thread order,
+// and returns the extended slice. With a reused dst this is allocation-free
+// at steady state; it is the detector's record source (detect.Ingestor).
+func (s *Sampler) DrainInto(dst []Record) []Record {
+	for _, b := range s.buffers {
+		dst = b.DrainInto(dst)
+	}
+	return dst
+}
+
+// Dropped reports records lost to full buffers, across all threads.
+func (s *Sampler) Dropped() uint64 {
+	var n uint64
+	for _, b := range s.buffers {
+		n += b.Dropped
+	}
+	return n
+}
 
 // OnHITM processes one HITM event observed by thread tid on core at
 // simulated time now, for an access at (pc, addr, size, write). It returns
@@ -142,9 +157,6 @@ func (s *Sampler) Buffer(tid int) *Buffer { return s.buffers[tid] }
 // costs), which is the mechanism behind the period-versus-runtime tradeoff
 // of Figure 4.
 func (s *Sampler) OnHITM(tid, core int, pc, addr uint64, size int, write bool, now int64) int64 {
-	if !s.enabled {
-		return 0
-	}
 	s.EventsSeen++
 	rng := s.rngs[tid]
 	if write && rng.Float64() > StoreCaptureRate {

@@ -76,14 +76,45 @@ func TestBufferOverflowDropsAndInterrupts(t *testing.T) {
 	}
 }
 
-func TestDisabledSamplerIsFree(t *testing.T) {
-	s := NewSampler(1, 1, 1)
-	s.SetEnabled(false)
-	if c := s.OnHITM(0, 0, 0x400000, 0x1000, 8, false, 0); c != 0 {
-		t.Errorf("disabled sampler charged %d", c)
+// The sampler is the detector's record source: DrainInto collects every
+// thread's buffer, in thread order, and empties them all.
+func TestDrainIntoCollectsEveryBuffer(t *testing.T) {
+	s := NewSampler(2, 1, 1)
+	for i := 0; i < 30; i++ {
+		s.OnHITM(1, 1, 0x400004, 0x2000, 8, false, int64(i))
 	}
-	if s.EventsSeen != 0 || s.RecordsEmitted != 0 {
-		t.Error("disabled sampler should record nothing")
+	for i := 0; i < 20; i++ {
+		s.OnHITM(0, 0, 0x400000, 0x1000, 8, false, int64(i))
+	}
+	recs := s.DrainInto(nil)
+	if len(recs) != 50 {
+		t.Fatalf("drained %d, want 50", len(recs))
+	}
+	if recs[0].TID != 0 || recs[19].TID != 0 || recs[20].TID != 1 {
+		t.Errorf("records not in thread order: %+v %+v %+v", recs[0], recs[19], recs[20])
+	}
+	if again := s.DrainInto(nil); len(again) != 0 {
+		t.Error("second drain should be empty")
+	}
+}
+
+func TestDroppedSumsEveryBuffer(t *testing.T) {
+	s := NewSampler(2, 1, 1)
+	for tid := 0; tid < 2; tid++ {
+		for i := 0; i < BufferRecords+10*(tid+1); i++ {
+			s.OnHITM(tid, tid, 0x400000, 0x1000, 8, false, int64(i))
+		}
+	}
+	if got := s.Dropped(); got != 30 {
+		t.Errorf("dropped %d, want 10+20", got)
+	}
+}
+
+func TestFootprintScalesWithThreads(t *testing.T) {
+	small := NewSampler(2, 1, 1).FootprintBytes()
+	large := NewSampler(8, 1, 1).FootprintBytes()
+	if large != 4*small {
+		t.Errorf("footprint should scale with thread count: %d vs %d", small, large)
 	}
 }
 

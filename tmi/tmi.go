@@ -14,59 +14,53 @@
 package tmi
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/core"
 	"repro/tmi/workload"
 )
 
-// System selects which runtime supervises the workload.
-type System int
+// System selects which runtime supervises the workload. String names it
+// as in the paper's figures; ParseSystem inverts String.
+type System = core.Setup
 
 // Systems.
 const (
 	// Pthreads is the unmonitored baseline (Lockless-style allocator).
-	Pthreads System = iota
+	Pthreads = core.Pthreads
 	// TMIAlloc redirects allocations into TMI's process-shared memory and
 	// replaces synchronization with process-shared objects.
-	TMIAlloc
+	TMIAlloc = core.TMIAlloc
 	// TMIDetect adds HITM sampling and the false-sharing detection thread.
-	TMIDetect
+	TMIDetect = core.TMIDetect
 	// TMIProtect is full TMI: detection plus online repair.
-	TMIProtect
+	TMIProtect = core.TMIProtect
 	// SheriffDetect and SheriffProtect model Sheriff's threads-as-processes
 	// design (no code-centric consistency).
-	SheriffDetect
-	SheriffProtect
+	SheriffDetect  = core.SheriffDetect
+	SheriffProtect = core.SheriffProtect
 	// LASER detects like TMI and repairs with a TSO-preserving software
 	// store buffer.
-	LASER
+	LASER = core.LASER
 	// Plastic models the EuroSys'13 system: whole-program dynamic binary
 	// instrumentation plus byte-granularity remapping of contended lines.
-	Plastic
+	Plastic = core.Plastic
 )
 
-// String names the system as in the paper's figures.
-func (s System) String() string { return s.core().String() }
+// systems lists every system in declaration order.
+var systems = []System{Pthreads, TMIAlloc, TMIDetect, TMIProtect, SheriffDetect, SheriffProtect, LASER, Plastic}
 
-func (s System) core() core.Setup {
-	switch s {
-	case Pthreads:
-		return core.Pthreads
-	case TMIAlloc:
-		return core.TMIAlloc
-	case TMIDetect:
-		return core.TMIDetect
-	case TMIProtect:
-		return core.TMIProtect
-	case SheriffDetect:
-		return core.SheriffDetect
-	case SheriffProtect:
-		return core.SheriffProtect
-	case LASER:
-		return core.LASER
-	case Plastic:
-		return core.Plastic
+// ParseSystem returns the system whose String is name.
+func ParseSystem(name string) (System, error) {
+	names := make([]string, len(systems))
+	for i, s := range systems {
+		if s.String() == name {
+			return s, nil
+		}
+		names[i] = s.String()
 	}
-	panic("tmi: unknown system")
+	return 0, fmt.Errorf("unknown system %q (one of %s)", name, strings.Join(names, ", "))
 }
 
 // Config controls a run. The zero value runs the pthreads baseline with the
@@ -96,10 +90,6 @@ type Config struct {
 	ThresholdPerSec float64
 	// Seed fixes determinism (default 1).
 	Seed int64
-	// CacheLines bounds each core's private cache in lines (FIFO eviction);
-	// 0 models unbounded private caches (the default — contention does not
-	// depend on capacity).
-	CacheLines int
 	// AdaptivePeriod lets the detection thread retune the sampling period
 	// each interval (extension; see Figure 4 for the static tradeoff).
 	AdaptivePeriod bool
@@ -125,7 +115,7 @@ type ErrIncompatible = core.ErrIncompatible
 // Run executes w under cfg.
 func Run(w workload.Workload, cfg Config) (*Report, error) {
 	c := core.Config{
-		Setup:                 cfg.System.core(),
+		Setup:                 cfg.System,
 		Threads:               cfg.Threads,
 		Period:                cfg.Period,
 		HugePages:             cfg.HugePages,
@@ -134,7 +124,6 @@ func Run(w workload.Workload, cfg Config) (*Report, error) {
 		Sockets:               cfg.Sockets,
 		ThresholdPerSec:       cfg.ThresholdPerSec,
 		Seed:                  cfg.Seed,
-		CacheLines:            cfg.CacheLines,
 		AdaptivePeriod:        cfg.AdaptivePeriod,
 		TeardownIdleIntervals: cfg.TeardownIdleIntervals,
 		Trace:                 cfg.Trace,

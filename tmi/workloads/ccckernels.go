@@ -48,6 +48,9 @@ func (w *wordTearing) Info() workload.Info {
 }
 
 func (w *wordTearing) Setup(env workload.Env) error {
+	if err := definedFor(w.Name(), 2, env); err != nil {
+		return err
+	}
 	w.x = env.Alloc(2, 2)
 	w.pad0 = env.Alloc(8, 8)
 	w.bar = env.NewBarrier("wordtear.bar", env.Threads())
@@ -87,6 +90,17 @@ func (w *wordTearing) Validate(env workload.Env) error {
 // Exposed for the experiments that *demonstrate* tearing.
 func (w *wordTearing) Torn(env workload.Env) bool {
 	return env.Load(w.x, 2) == 0xABCD
+}
+
+// definedFor rejects a run of a kernel that defines each of its threads'
+// programs on any other thread count: extra threads would replay some
+// defined thread's program, and a missing thread's partners would wait on
+// it forever.
+func definedFor(name string, threads int, env workload.Env) error {
+	if n := env.Threads(); n != threads {
+		return fmt.Errorf("%s: defined for %d threads, not %d", name, threads, n)
+	}
+	return nil
 }
 
 // cannealSwap is Figure 11: concurrent atomic pair-swaps over a shared
@@ -191,6 +205,9 @@ func (c *choleskyFlag) Info() workload.Info {
 }
 
 func (c *choleskyFlag) Setup(env workload.Env) error {
+	if err := definedFor(c.Name(), 2, env); err != nil {
+		return err
+	}
 	page := env.PageSize()
 	base := env.Alloc(page, page) // one page holding flag and T0's datum
 	c.flag = base

@@ -281,8 +281,8 @@ func (w *litmus) Info() workload.Info {
 
 func (w *litmus) Setup(env workload.Env) error {
 	s := w.spec
-	if env.Threads() != s.threads {
-		return fmt.Errorf("%s: defined for %d threads, not %d", s.name, s.threads, env.Threads())
+	if err := definedFor(s.name, s.threads, env); err != nil {
+		return err
 	}
 	page := env.PageSize()
 	w.pages = make([]uint64, s.pages)

@@ -84,18 +84,21 @@ func TestLitmusRunsCleanUnderDefaultSchedule(t *testing.T) {
 }
 
 // TestLitmusRejectsUndefinedThreadCount: a kernel defines its threads'
-// programs, so running it on another thread count is a setup error, not a
-// run in which the extra threads replay some defined thread's program (a
-// false race in a clean kernel) or some threads never run.
+// programs (the litmus rows and the two-thread CCC kernels alike), so
+// running it on another thread count is a setup error, not a run in which
+// the extra threads replay some defined thread's program (a false race in
+// a clean kernel) or some threads never run.
 func TestLitmusRejectsUndefinedThreadCount(t *testing.T) {
-	for _, n := range []int{1, 3} {
-		w, err := ByName("litmus-sb")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = tmi.Run(w, tmi.Config{System: tmi.Pthreads, Threads: n})
-		if err == nil || !strings.Contains(err.Error(), "litmus-sb: defined for 2 threads") {
-			t.Errorf("Threads: %d: err = %v, want a setup error naming litmus-sb and its 2 threads", n, err)
+	for _, name := range []string{"litmus-sb", "wordtear", "wordtear-asm", "cholesky-flag"} {
+		for _, n := range []int{1, 3} {
+			w, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = tmi.Run(w, tmi.Config{System: tmi.Pthreads, Threads: n})
+			if want := name + ": defined for 2 threads"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, Threads: %d: err = %v, want a setup error naming %s and its 2 threads", name, n, err, name)
+			}
 		}
 	}
 }
