@@ -143,8 +143,9 @@ cluster-smoke:
 # so must the simulator's access path: a coherence access, a machine
 # instruction (also under an external scheduler), a PEBS drain, a PTSB
 # commit and an access through core's wired hooks under TMI detect. The
-# per-tenant footprint gate rides along: a tmid session fed one window
-# holds at most 16 KiB of live heap at 4 KiB and 2 MiB pages, and so does
+# per-tenant footprint gate rides along: a tmid session fed one window by
+# the shard of a migratable node holds at most 16 KiB of live heap at
+# 4 KiB and 2 MiB pages, and so does
 # one fed 10,000 windows on fresh pages (within 1 KiB of its one-window
 # figure), one on 1 GiB pages sampled near page tops, and one fed the
 # largest wire TID.
@@ -153,10 +154,11 @@ allocgate:
 		./internal/toolio ./internal/detect ./internal/service \
 		./internal/sim/cache ./internal/sim/machine ./internal/sim/pebs ./internal/ptsb ./internal/core
 
-# fuzz mutates migration streams (hello, checkpoint line, open-window
-# frames) into the /v1/import parser and restores every accepted one: an
-# error is fine, a panic or a checkpoint that does not cover its open
-# window fails. It then fuzzes the two sample decoders tmid's streams go
+# fuzz mutates migration streams (hello and checkpoint line, and one
+# followed by a trailing sample frame) into the /v1/import parser and
+# restores every accepted one: an error is fine, a panic, a restored
+# detector that does not count the checkpoint's records or a restored
+# session whose first advice counts a record fails. It then fuzzes the two sample decoders tmid's streams go
 # through, NDJSON lines (DecodeWireMsg) and binary frames (BinReader): an
 # error is fine, a panic or an accepted sample or tick outside the wire
 # limits fails. Then it fuzzes the stream framer tmid and the router relay

@@ -45,7 +45,7 @@ func main() {
 		maxFrame   = flag.Int("max-frame", toolio.MaxWireLine, "max accepted wire frame/line payload bytes")
 		recommend  = flag.String("recommend", "", "repair-backend recommendation policy stamped into advice: none, auto, or a fixed backend (t2p, pad, map, tmebox)")
 		nodeID     = flag.String("node-id", "", "node name reported in /healthz JSON (cluster membership metadata; default tmid)")
-		migratable = flag.Bool("migratable", false, "keep each session's open window (samples since its last tick) so sessions can be exported and live-migrated as a checkpoint (/v1/export, /v1/migrate); costs one window per session, flat in session age")
+		migratable = flag.Bool("migratable", false, "serve /v1/export, /v1/import and /v1/migrate, so a session at a tick boundary can be live-migrated as a checkpoint of its record and window counts; costs a session no memory")
 	)
 	flag.Parse()
 

@@ -2,10 +2,11 @@
 // that consistent-hashes tenant IDs onto N tmid nodes (bounded-load ring
 // with virtual nodes), probes each node's /healthz for membership, and
 // live-migrates tenant sessions between nodes when the ring changes — a
-// drained or rebalanced tenant's session checkpoint is shipped through the
-// source node's /v1/migrate and restored on the destination before ingest
-// cuts over, so its advice stream stays byte-identical (see internal/cluster
-// and DESIGN §17). Nodes must run with tmid -migratable.
+// drained or rebalanced tenant's session checkpoint (its record and window
+// counts, taken at a tick boundary) is shipped through the source node's
+// /v1/migrate and restored on the destination before ingest cuts over, so
+// its advice stream stays byte-identical (see internal/cluster and DESIGN
+// §17). Nodes must run with tmid -migratable.
 //
 // Usage:
 //

@@ -2,17 +2,19 @@
 // routing proxy (Router) that spreads tenants over N tmid nodes, tracks
 // node membership through their /healthz probes, and live-migrates tenant
 // sessions between nodes when the ring changes — shipping each session's
-// checkpoint (cumulative counters plus its open window) through the nodes'
-// /v1/migrate endpoint so the destination rebuilds byte-identical detector
-// window state (DESIGN §17).
+// checkpoint (its cumulative record and window counters, taken at a tick
+// boundary) through the nodes' /v1/migrate endpoint so the destination
+// continues the session exactly (DESIGN §17).
 //
 // The correctness story is the same parity-by-construction argument the
 // single-node service makes: the router never interprets or re-renders
-// advice, it relays the owning node's bytes; and a migration feeds the
-// exact open window the source accepted through the exact session code
-// path (closed windows never reach advice), so a rebalanced tenant's
-// advice stream is byte-identical to one that never moved (asserted
-// end-to-end by tmiload -cluster and the cluster-smoke CI lane).
+// advice, it relays the owning node's bytes; and a migration happens only
+// at a tick boundary, where a window's advice depends on nothing but that
+// window and the counters (closed windows never reach advice), so a
+// rebalanced tenant's advice stream is byte-identical to one that never
+// moved (asserted end-to-end by tmiload -cluster and the cluster-smoke CI
+// lane). A node asked to migrate a session part-way into a window answers
+// 409, and the relay fails that stream with a retryable error.
 package cluster
 
 import (

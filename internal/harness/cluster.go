@@ -22,10 +22,10 @@ import (
 // perturbed a verdict would fail the run, not just skew a number). The
 // migration latency quantiles and the rebalance throughput land in the
 // benchmark trajectory via Options.Stat as migration_ms_p50/p99 and
-// rebalance_records_per_sec. A migration ships a checkpoint (counters plus
-// the open window), but its ack reports the session's cumulative records,
-// so rebalance_records_per_sec counts acked session records per second of
-// migration, not records shipped.
+// rebalance_records_per_sec. A migration ships a two-line checkpoint (the
+// record and window counters at a tick boundary), but its ack reports the
+// session's cumulative records, so rebalance_records_per_sec counts acked
+// session records per second of migration, not records shipped.
 func clusterExp(o *Options) error {
 	header(o, "Extension: tmid cluster — live session migration under a streaming fleet")
 	csv, err := csvFile(o, "cluster.csv")
@@ -156,9 +156,9 @@ func clusterExp(o *Options) error {
 	o.Stat("rebalance_records_per_sec", rps)
 	o.Stat("cluster_migrations_ok", float64(ms.OK))
 
-	fmt.Fprintf(o.Out, "\na live migration ships the session's checkpoint (record and window counters plus\n")
-	fmt.Fprintf(o.Out, "the open window's samples) and feeds the open window through the destination's\n")
-	fmt.Fprintf(o.Out, "own session path — parity above proves the rebalance was invisible; \"records\n")
-	fmt.Fprintf(o.Out, "rebalanced\" and the throughput count acked session records, not records shipped\n")
+	fmt.Fprintf(o.Out, "\na live migration happens at a tick boundary and ships the session's checkpoint\n")
+	fmt.Fprintf(o.Out, "(its record and window counters) — parity above proves the rebalance was\n")
+	fmt.Fprintf(o.Out, "invisible; \"records rebalanced\" and the throughput count acked session records,\n")
+	fmt.Fprintf(o.Out, "not records shipped\n")
 	return nil
 }

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/detect"
 	"repro/internal/raceflag"
@@ -33,7 +35,8 @@ func heapAfterGC() int64 {
 //
 //   - 4KiB, 2MiB: 32 sessions, each fed the first window of a period-1
 //     histogramfs trace and ticked once, hold at most maxSessionBytes
-//     apiece.
+//     apiece. They are built the way a cluster node builds them: by the
+//     shard of a Migratable server, measured from after New.
 //   - age: one session fed 10,000 windows, each on a fresh 4 KiB page,
 //     holds no more than it held after the first window plus 1 KiB, and at
 //     most maxSessionBytes.
@@ -70,19 +73,25 @@ func TestSessionFootprint(t *testing.T) {
 			window := log.WindowSamples(0)
 			tick := toolio.WireTick{Seq: 1, IntervalSec: log.Windows[0].IntervalSec, Period: log.Windows[0].Period}
 
-			held := make([]*session, 0, sessions)
+			srv := New(Config{Migratable: true})
+			defer srv.Drain()
 			before := heapAfterGC()
 			for i := 0; i < sessions; i++ {
-				s, err := newSession("tenant", log.PageSize, dcfg)
+				tenant := fmt.Sprintf("tenant-%d", i)
+				var err error
+				srv.onShard(tenant, func(sh *shard, now time.Time) {
+					var s *session
+					if s, err = sh.session(tenant, log.PageSize, now); err == nil {
+						s.feed(window)
+						s.advise(tick, periods, "")
+					}
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.feed(window)
-				s.advise(tick, periods, "")
-				held = append(held, s)
 			}
 			per := (heapAfterGC() - before) / sessions
-			runtime.KeepAlive(held)
+			runtime.KeepAlive(srv)
 
 			t.Logf("%d-byte pages: %d samples per window, %d live bytes per session", log.PageSize, len(window), per)
 			if per > maxSessionBytes {

@@ -2,12 +2,12 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"slices"
 	"time"
 
 	"repro/internal/detect"
@@ -17,16 +17,17 @@ import (
 // This file is the session-migration surface of a Migratable tmid node —
 // the mechanism the cluster routing tier (internal/cluster) rebalances
 // shards with. A window's advice depends only on that window's samples and
-// tick (TestAdviceIndependentOfPrefix), so a session's migratable state is
-// a checkpoint, not its history: the cumulative record and closed-window
-// counters plus the open window's samples. The destination restores the
-// counters and feeds the open window through the same session code path
-// every shard and the offline Replay use, so a migrated tenant's
-// subsequent advice is byte-identical to an uninterrupted run, and a
-// migration costs one window whatever the session's age. The wire format
-// reuses the binary columnar codec: an NDJSON hello line (tenant, page
-// size), one NDJSON checkpoint line, then sample frames for the open
-// window. A tick frame in a migration stream is an error.
+// tick (TestAdviceIndependentOfPrefix), so at a tick boundary a session's
+// whole migratable state is two counters: the cumulative records it
+// ingested and the windows it closed. A tick boundary is therefore the only
+// point a session migrates at; a session with samples in its open window
+// answers 409 Conflict and stays where it is. The destination restores the
+// counters into a fresh session, so a migrated tenant's subsequent advice
+// is byte-identical to an uninterrupted run, and a migration costs the same
+// whatever the session's age. The wire format is two NDJSON lines, the
+// hello (tenant, page size) and the checkpoint
+// {"k":"checkpoint","records":R,"windows":W}, then the end of the stream;
+// any byte after the checkpoint is an error.
 //
 // Endpoints:
 //
@@ -43,7 +44,7 @@ import (
 // destination acks.
 
 // migrateAck is the import/migrate response body. Records and Windows are
-// the session's cumulative counts, not what the stream carried.
+// the session's cumulative counts.
 type migrateAck struct {
 	Migrated bool   `json:"migrated"`
 	Tenant   string `json:"tenant,omitempty"`
@@ -60,14 +61,8 @@ type migrateRequest struct {
 // checkpointKind tags the migration stream's checkpoint line.
 const checkpointKind = "checkpoint"
 
-const (
-	// maxMigrateRecords caps the open-window records one /v1/import
-	// accepts: an import is a trusted intra-cluster transfer, but the cap
-	// keeps a misrouted or runaway stream from ballooning a node.
-	maxMigrateRecords = 1 << 22
-	// migrateTimeout bounds one outbound /v1/migrate push.
-	migrateTimeout = 30 * time.Second
-)
+// migrateTimeout bounds one outbound /v1/migrate push.
+const migrateTimeout = 30 * time.Second
 
 // migrateCheckpoint is the checkpoint line as decoded: pointer fields so a
 // missing counter is told apart from a zero one.
@@ -77,47 +72,31 @@ type migrateCheckpoint struct {
 	Windows *int64 `json:"windows"`
 }
 
-// snapshot is one session's migratable state.
+// snapshot is one session's migratable state at a tick boundary: records
+// counts every sample the session ingested, windows the windows it closed.
 type snapshot struct {
 	pageSize int
-	// records counts every sample the session ingested, the open window's
-	// included; windows counts the windows it closed.
-	records uint64
-	windows int
-	open    []detect.Sample
+	records  uint64
+	windows  int
 }
 
-// writeMigrationStream serializes one snapshot: the NDJSON hello, the
-// checkpoint line, then the open window as binary columnar frames.
+// writeMigrationStream serializes one snapshot: the NDJSON hello, then the
+// checkpoint line.
 func writeMigrationStream(w io.Writer, tenant string, snap snapshot) error {
-	hello := toolio.WireHello{
-		K: toolio.WireHelloKind, Version: toolio.SchemaVersion,
-		Tenant: tenant, PageSize: snap.pageSize, Wire: toolio.WireFormatBinary,
-	}
+	hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: tenant, PageSize: snap.pageSize}
 	if _, err := w.Write(toolio.EncodeWire(hello)); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "{\"k\":%q,\"records\":%d,\"windows\":%d}\n", checkpointKind, snap.records, snap.windows); err != nil {
-		return err
-	}
-	bw := toolio.NewBinWriter(w)
-	var cols toolio.SampleColumns
-	for lo := 0; lo < len(snap.open); lo += toolio.MaxWireBatch {
-		packColumns(&cols, snap.open[lo:min(lo+toolio.MaxWireBatch, len(snap.open))])
-		if err := bw.WriteSamples(&cols); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := fmt.Fprintf(w, "{\"k\":%q,\"records\":%d,\"windows\":%d}\n", checkpointKind, snap.records, snap.windows)
+	return err
 }
 
-// readMigrationStream parses a migration stream back into a snapshot.
-// maxRecords caps the open window (a runaway stream gets an error, not a
-// node OOM); frame-level validation (column ranges, batch caps) is the
-// binary codec's. The checkpoint must carry both counters, non-negative,
-// and records must cover the open window: the restored session subtracts
-// the one from the other.
-func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant string, snap snapshot, err error) {
+// readMigrationStream parses a migration stream back into a snapshot. The
+// checkpoint must carry both counters, non-negative, and end the stream: a
+// byte after it (say, the open-window sample frames an older node sent)
+// is an error, so a session cut part-way into a window is never installed
+// without that window.
+func readMigrationStream(br *bufio.Reader, maxFrame int) (tenant string, snap snapshot, err error) {
 	hello, line, err := toolio.ReadHello(br, maxFrame)
 	if err != nil {
 		return "", snapshot{}, err
@@ -138,77 +117,56 @@ func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant str
 	case *cp.Records < 0 || *cp.Windows < 0:
 		return "", snapshot{}, fmt.Errorf("migration stream: checkpoint counters must be non-negative")
 	}
-	snap = snapshot{pageSize: hello.PageSize, records: uint64(*cp.Records), windows: int(*cp.Windows)}
-	rd := toolio.NewBinReader(br)
-	rd.MaxPayload = maxFrame
-	for {
-		fr, err := rd.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", snapshot{}, err
-		}
-		if fr.Kind != toolio.WireSamplesKind[0] {
-			return "", snapshot{}, fmt.Errorf("migration stream: only the open window's sample frames may follow the checkpoint")
-		}
-		n, k := len(snap.open), fr.Samples.Len()
-		if n+k > maxRecords {
-			return "", snapshot{}, fmt.Errorf("migration stream exceeds %d open-window records", maxRecords)
-		}
-		snap.open = slices.Grow(snap.open, k)[:n+k]
-		unpackColumns(snap.open[n:], fr.Samples)
+	if _, err := br.ReadByte(); err != io.EOF {
+		return "", snapshot{}, fmt.Errorf("migration stream: the checkpoint must end the stream")
 	}
-	if snap.records < uint64(len(snap.open)) {
-		return "", snapshot{}, fmt.Errorf("migration stream: checkpoint records %d do not cover the %d open-window samples", snap.records, len(snap.open))
-	}
-	return hello.Tenant, snap, nil
+	return hello.Tenant, snapshot{pageSize: hello.PageSize, records: uint64(*cp.Records), windows: int(*cp.Windows)}, nil
 }
 
 // rebuildSession restores a snapshot into a fresh session: the counters
-// land where the source's last tick left them, then the open window is fed
-// through the same path a shard runs, leaving the detector's window state
-// exactly the source's. The open window is attached for capture only after
-// the feed, so feeding does not double-append into it.
+// land where the source's last tick left them, and the open window is
+// empty, as the source's was.
 func rebuildSession(tenant string, snap snapshot, dcfg detect.Config) (*session, error) {
 	s, err := newSession(tenant, snap.pageSize, dcfg)
 	if err != nil {
 		return nil, err
 	}
-	closed := snap.records - uint64(len(snap.open))
-	s.det.TotalRecords = closed
-	s.seen = closed
+	s.det.TotalRecords, s.seen = snap.records, snap.records
 	s.ticks = snap.windows
-	s.feed(snap.open)
-	s.capture, s.open = true, snap.open
 	return s, nil
 }
 
-// exportSnapshot snapshots the tenant's session on its owning shard: its
-// checkpoint counters and a copy of its open window, so the caller can
-// stream it out while the session keeps ingesting. snap is nil when no
-// capturing session is resident; ok is false when the shard did not run
+// exportSnapshot snapshots the tenant's session on its owning shard, in
+// one of three states: no session resident (snap nil, pending 0), a
+// session with pending samples in its open window (snap nil), or a session
+// at a tick boundary (snap set). ok is false when the shard did not run
 // the export (draining, or saturated past EnqueueWait).
-func (s *Server) exportSnapshot(tenant string) (snap *snapshot, ok bool) {
+func (s *Server) exportSnapshot(tenant string) (snap *snapshot, pending uint64, ok bool) {
 	ok = s.onShard(tenant, func(sh *shard, _ time.Time) {
 		sess := sh.sessions[tenant]
-		if sess == nil || !sess.capture {
+		if sess == nil {
 			return
 		}
-		snap = &snapshot{
-			pageSize: sess.pageSize,
-			records:  sess.det.TotalRecords,
-			windows:  sess.ticks,
-			open:     append([]detect.Sample(nil), sess.open...),
+		// seen is the detector's record count at the last tick, so the
+		// session is at a tick boundary exactly when nothing came since.
+		if pending = sess.det.TotalRecords - sess.seen; pending == 0 {
+			snap = &snapshot{pageSize: sess.pageSize, records: sess.seen, windows: sess.ticks}
 		}
 	})
-	return snap, ok
+	return snap, pending, ok
+}
+
+// refuseOpenWindow answers an export or migrate of a session that is not
+// at a tick boundary. The session is untouched: once its window's tick
+// arrives, the same request succeeds.
+func refuseOpenWindow(w http.ResponseWriter, tenant string, pending uint64) {
+	http.Error(w, fmt.Sprintf("tmid: tenant %s has %d samples in its open window; a session migrates only at a tick boundary", tenant, pending), http.StatusConflict)
 }
 
 // handleExport streams one tenant's migratable snapshot.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.Migratable {
-		http.Error(w, "tmid: node is not migratable (capture off)", http.StatusConflict)
+		http.Error(w, "tmid: node is not migratable", http.StatusConflict)
 		return
 	}
 	tenant := r.URL.Query().Get("tenant")
@@ -216,32 +174,32 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tmid: export needs ?tenant=", http.StatusBadRequest)
 		return
 	}
-	snap, ok := s.exportSnapshot(tenant)
-	if !ok {
+	snap, pending, ok := s.exportSnapshot(tenant)
+	switch {
+	case !ok:
 		http.Error(w, "tmid: draining", http.StatusServiceUnavailable)
-		return
-	}
-	if snap == nil {
+	case pending > 0:
+		refuseOpenWindow(w, tenant, pending)
+	case snap == nil:
 		http.Error(w, "tmid: no session for tenant "+tenant, http.StatusNotFound)
-		return
+	default:
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		writeMigrationStream(w, tenant, *snap)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	writeMigrationStream(w, tenant, *snap)
 }
 
 // handleImport rebuilds a session from a migration stream and installs it,
 // acking with the session's cumulative record/window counts.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.Migratable {
-		http.Error(w, "tmid: node is not migratable (capture off)", http.StatusConflict)
+		http.Error(w, "tmid: node is not migratable", http.StatusConflict)
 		return
 	}
 	if s.draining.Load() {
 		http.Error(w, "tmid: draining", http.StatusServiceUnavailable)
 		return
 	}
-	br := bufio.NewReaderSize(r.Body, 256<<10)
-	tenant, snap, err := readMigrationStream(br, s.cfg.MaxFrameBytes, maxMigrateRecords)
+	tenant, snap, err := readMigrationStream(bufio.NewReader(r.Body), s.cfg.MaxFrameBytes)
 	if err != nil {
 		s.metrics.migrateFailed.Add(1)
 		http.Error(w, "tmid: "+err.Error(), http.StatusBadRequest)
@@ -291,7 +249,7 @@ func CheckNodeURL(u string) error {
 // before calling this and resumes against the destination after.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.Migratable {
-		http.Error(w, "tmid: node is not migratable (capture off)", http.StatusConflict)
+		http.Error(w, "tmid: node is not migratable", http.StatusConflict)
 		return
 	}
 	if s.draining.Load() {
@@ -314,12 +272,15 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tmid: migrate target "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	snap, ok := s.exportSnapshot(req.Tenant)
-	if !ok {
+	snap, pending, ok := s.exportSnapshot(req.Tenant)
+	switch {
+	case !ok:
 		http.Error(w, "tmid: draining", http.StatusServiceUnavailable)
 		return
-	}
-	if snap == nil {
+	case pending > 0:
+		refuseOpenWindow(w, req.Tenant, pending)
+		return
+	case snap == nil:
 		// Nothing to move is a clean no-op, not an error: the router calls
 		// this for tenants that may never have sent a sample.
 		w.Header().Set("Content-Type", "application/json")
@@ -346,24 +307,12 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(ack)
 }
 
-// pushImport streams a snapshot to target's /v1/import and returns its ack.
+// pushImport posts a snapshot to target's /v1/import and returns its ack.
 func (s *Server) pushImport(target, tenant string, snap snapshot) (migrateAck, error) {
-	pr, pw := io.Pipe()
-	go func() {
-		bw := bufio.NewWriterSize(pw, 256<<10)
-		err := writeMigrationStream(bw, tenant, snap)
-		if err == nil {
-			err = bw.Flush()
-		}
-		pw.CloseWithError(err)
-	}()
-	req, err := http.NewRequest(http.MethodPost, target+"/v1/import", pr)
-	if err != nil {
-		return migrateAck{}, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	var body bytes.Buffer
+	writeMigrationStream(&body, tenant, snap) // a bytes.Buffer write never fails
 	hc := &http.Client{Timeout: migrateTimeout}
-	resp, err := hc.Do(req)
+	resp, err := hc.Post(target+"/v1/import", "application/x-ndjson", &body)
 	if err != nil {
 		return migrateAck{}, err
 	}

@@ -124,7 +124,7 @@ func exportSnap(t *testing.T, baseURL, tenant string) (snapshot, int) {
 	if status != http.StatusOK {
 		return snapshot{}, status
 	}
-	gotTenant, snap, err := readMigrationStream(bufio.NewReader(bytes.NewReader(body)), toolio.MaxWireLine, 1<<22)
+	gotTenant, snap, err := readMigrationStream(bufio.NewReader(bytes.NewReader(body)), toolio.MaxWireLine)
 	if err != nil {
 		t.Fatalf("parse export: %v", err)
 	}
@@ -163,11 +163,10 @@ func TestMigrateContinuesAdviceByteIdentical(t *testing.T) {
 	if _, status := exportSnap(t, hsA.URL, tenant); status != http.StatusNotFound {
 		t.Fatalf("source still has the session after ack (status %d)", status)
 	}
-	// B carries the cumulative counters and an empty open window (the cut
-	// fell on a tick).
+	// B carries the cumulative counters.
 	moved, status := exportSnap(t, hsB.URL, tenant)
-	if status != http.StatusOK || moved.records != uint64(ack.Records) || moved.windows != cut || len(moved.open) != 0 {
-		t.Fatalf("destination snapshot: status %d, %d records / %d windows / %d open", status, moved.records, moved.windows, len(moved.open))
+	if status != http.StatusOK || moved.records != uint64(ack.Records) || moved.windows != cut {
+		t.Fatalf("destination snapshot: status %d, %d records / %d windows", status, moved.records, moved.windows)
 	}
 
 	adv2 := streamSpan(t, hsB.URL, tenant, log, pos(log, cut, 0), pos(log, len(log.Windows), 0))
@@ -177,44 +176,19 @@ func TestMigrateContinuesAdviceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestExportRoundTripsOpenWindow pins the snapshot codec: the checkpoint
-// counters (cumulative records, closed windows) and the open (un-ticked)
-// trailing window survive an export/parse round trip exactly.
-func TestExportRoundTripsOpenWindow(t *testing.T) {
-	log := syntheticLog()
-	_, hs := newTestServer(t, Config{Shards: 1, Migratable: true})
-
-	tail := log.WindowSamples(3)[:100]
-	const tenant = "export-1"
-	streamSpan(t, hs.URL, tenant, log, 0, pos(log, 3, len(tail)))
-
-	got, status := exportSnap(t, hs.URL, tenant)
-	if status != http.StatusOK {
-		t.Fatalf("export status %d", status)
-	}
-	wantRecords := uint64(log.Windows[2].End + len(tail))
-	if got.records != wantRecords || got.windows != 3 || got.pageSize != log.PageSize {
-		t.Fatalf("round trip: %d records / %d windows / page %d, want %d / 3 / %d", got.records, got.windows, got.pageSize, wantRecords, log.PageSize)
-	}
-	if len(got.open) != len(tail) {
-		t.Fatalf("round trip: %d open samples, want %d", len(got.open), len(tail))
-	}
-	for i, sm := range got.open {
-		if sm != tail[i] {
-			t.Fatalf("tail sample %d: %+v != %+v", i, sm, tail[i])
-		}
-	}
-}
-
-// TestMigrateAtEveryCut is the differential migration check: for every
-// window cut k, and mid-window with tails of one sample, half the window
-// and all but one sample, stream to A, migrate to B, stream the rest to B.
-// The concatenated advice must equal the offline Replay, and the ack must
-// report the session's cumulative records and windows at the cut.
+// TestMigrateAtEveryCut is the differential migration check, over three
+// generated traces. At every tick cut k, stream to A, migrate to B, stream
+// the rest to B: the ack reports the session's cumulative records and
+// windows at the cut, and the concatenated advice equals the offline
+// Replay. At every mid-window cut (tails of one sample, half the window and
+// all but one sample), the migration answers 409 and leaves the tenant on
+// A, whole: B holds nothing, and finishing the stream on A renders advice
+// byte-identical to Replay.
 func TestMigrateAtEveryCut(t *testing.T) {
 	srvA, hsA := newTestServer(t, Config{Shards: 2, Migratable: true, NodeID: "a"})
-	_, hsB := newTestServer(t, Config{Shards: 2, Migratable: true, NodeID: "b"})
-	for name, log := range map[string]*trace.SampleLog{"synthetic": syntheticLog(), "varied": variedLog()} {
+	srvB, hsB := newTestServer(t, Config{Shards: 2, Migratable: true, NodeID: "b"})
+	logs := map[string]*trace.SampleLog{"synthetic": syntheticLog(), "varied": variedLog(), "shapes": shapesLog(2<<20, 18)}
+	for name, log := range logs {
 		want, err := Replay(log, log.PageSize, srvA.cfg.Detect, detect.DefaultPeriodController(), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -234,17 +208,29 @@ func TestMigrateAtEveryCut(t *testing.T) {
 			for tail := range tails {
 				tenant := fmt.Sprintf("cut-%s-%d-%d", name, k, tail)
 				cut := pos(log, k, tail)
+				records := pos(log, k, 0) - k + tail
 				adv1 := streamSpan(t, hsA.URL, tenant, log, 0, cut)
 				ack, status := migrate(t, hsA.URL, tenant, hsB.URL)
-				if status != http.StatusOK || !ack.Migrated {
-					t.Fatalf("%s: migrate status %d, ack %+v", tenant, status, ack)
+				dst := hsB.URL
+				if tail == 0 {
+					if status != http.StatusOK || !ack.Migrated || ack.Records != records || ack.Windows != k {
+						t.Fatalf("%s: migrate status %d, ack %+v, want %d records / %d windows", tenant, status, ack, records, k)
+					}
+				} else {
+					if status != http.StatusConflict {
+						t.Fatalf("%s: mid-window migrate status %d, want 409", tenant, status)
+					}
+					if info := inspect(srvA, tenant); !info.Exists || info.Records != uint64(records) || info.Ticks != k {
+						t.Fatalf("%s: refused migration left the source session %+v, want %d records / %d ticks", tenant, info, records, k)
+					}
+					if info := inspect(srvB, tenant); info.Exists {
+						t.Fatalf("%s: refused migration installed a session on the target", tenant)
+					}
+					dst = hsA.URL
 				}
-				if wantRecords := pos(log, k, 0) - k + tail; ack.Records != wantRecords || ack.Windows != k {
-					t.Errorf("%s: ack %d records / %d windows, want %d / %d", tenant, ack.Records, ack.Windows, wantRecords, k)
-				}
-				adv2 := streamSpan(t, hsB.URL, tenant, log, cut, end)
+				adv2 := streamSpan(t, dst, tenant, log, cut, end)
 				if got := append(adv1, adv2...); !bytes.Equal(got, want) {
-					t.Errorf("%s: migrated advice diverged from offline replay:\ngot:  %s\nwant: %s", tenant, got, want)
+					t.Errorf("%s: advice diverged from offline replay:\ngot:  %s\nwant: %s", tenant, got, want)
 				}
 			}
 		}
@@ -266,102 +252,100 @@ func repeatLog(log *trace.SampleLog, r int) *trace.SampleLog {
 }
 
 // TestExportSizeFlatWithSessionAge pins the bound on migratable state: no
-// per-session structure grows with session age. A session exported after 8
-// repeats of the trace ships exactly the bytes one exported after 1 repeat
-// does — at a tick boundary and part-way into a window — except for the
-// extra decimal digits of the checkpoint's two counters.
+// per-session structure grows with session age. A session exported at a
+// tick boundary after 8 repeats of the trace ships exactly the bytes one
+// exported after 1 repeat does, except for the extra decimal digits of the
+// checkpoint's two counters. Part-way into a window, the export is a 409
+// that names the pending samples, at either age.
 func TestExportSizeFlatWithSessionAge(t *testing.T) {
 	log := syntheticLog()
-	_, hs := newTestServer(t, Config{Shards: 1, Migratable: true})
+	srv, hs := newTestServer(t, Config{Shards: 1, Migratable: true})
 	digits := func(v int) int { return len(fmt.Sprint(v)) }
-	for _, tail := range []int{0, 100} {
-		var size [2]int
-		for i, r := range []int{1, 8} {
-			long := repeatLog(log, r)
-			tenant := fmt.Sprintf("age-%d-%d", r, tail)
-			k := r * len(log.Windows)
-			streamSpan(t, hs.URL, tenant, long, 0, pos(long, k, tail))
-			body, status := exportBody(t, hs.URL, tenant)
-			if status != http.StatusOK {
-				t.Fatalf("%s: export status %d", tenant, status)
-			}
-			_, snap, err := readMigrationStream(bufio.NewReader(bytes.NewReader(body)), toolio.MaxWireLine, 1<<22)
-			if err != nil {
-				t.Fatalf("%s: %v", tenant, err)
-			}
-			if want := long.Windows[k-1].End + tail; snap.records != uint64(want) || snap.windows != k || len(snap.open) != tail {
-				t.Fatalf("%s: snapshot %d records / %d windows / %d open, want %d / %d / %d",
-					tenant, snap.records, snap.windows, len(snap.open), want, k, tail)
-			}
-			size[i] = len(body) - digits(int(snap.records)) - digits(snap.windows)
+	var size [2]int
+	for i, r := range []int{1, 8} {
+		long := repeatLog(log, r)
+		tenant := fmt.Sprintf("age-%d", r)
+		k := r * len(log.Windows)
+		streamSpan(t, hs.URL, tenant, long, 0, pos(long, k, 0))
+		body, status := exportBody(t, hs.URL, tenant)
+		if status != http.StatusOK {
+			t.Fatalf("%s: export status %d", tenant, status)
 		}
-		if size[0] != size[1] {
-			t.Errorf("tail %d: export grew with session age: %d bytes after 1 repeat, %d after 8 (counter digits excluded)", tail, size[0], size[1])
+		_, snap, err := readMigrationStream(bufio.NewReader(bytes.NewReader(body)), toolio.MaxWireLine)
+		if err != nil {
+			t.Fatalf("%s: %v", tenant, err)
 		}
+		if want := long.Windows[k-1].End; snap.records != uint64(want) || snap.windows != k {
+			t.Fatalf("%s: snapshot %d records / %d windows, want %d / %d", tenant, snap.records, snap.windows, want, k)
+		}
+		size[i] = len(body) - digits(int(snap.records)) - digits(snap.windows)
+
+		const tail = 100
+		streamSpan(t, hs.URL, tenant, long, pos(long, k, 0), pos(long, k, tail))
+		body, status = exportBody(t, hs.URL, tenant)
+		if status != http.StatusConflict || !bytes.Contains(body, []byte(fmt.Sprintf(" %d samples", tail))) {
+			t.Errorf("%s: mid-window export: status %d %q, want 409 naming %d samples", tenant, status, body, tail)
+		}
+		if info := inspect(srv, tenant); info.Records != snap.records+tail || info.Ticks != k {
+			t.Errorf("%s: refused export left the session %+v, want %d records / %d ticks", tenant, info, snap.records+tail, k)
+		}
+	}
+	if size[0] != size[1] {
+		t.Errorf("export grew with session age: %d bytes after 1 repeat, %d after 8 (counter digits excluded)", size[0], size[1])
 	}
 }
 
 // TestReadMigrationStreamRejects pins the checkpoint validation: a counter
-// that is missing or negative, records that do not cover the open window
-// (the restored session would underflow records-minus-open), a missing or
-// mistyped checkpoint line, and a tick frame after the checkpoint are all
-// errors.
+// that is missing or negative, a missing or mistyped checkpoint line, and
+// any byte after the checkpoint are all errors. The trailing bytes include
+// one binary sample frame, the open-window format older nodes sent: its
+// session must never install without its window.
 func TestReadMigrationStreamRejects(t *testing.T) {
 	hello := string(toolio.EncodeWire(toolio.WireHello{
 		K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: "bad", PageSize: 4096, Wire: toolio.WireFormatBinary,
 	}))
-	open := syntheticLog().WindowSamples(0)[:10]
-	var frames bytes.Buffer
-	if err := writeMigrationStream(&frames, "bad", snapshot{pageSize: 4096, records: 10, open: open}); err != nil {
+	checkpoint := `{"k":"checkpoint","records":10,"windows":0}` + "\n"
+	var frame bytes.Buffer
+	var cols toolio.SampleColumns
+	packColumns(&cols, syntheticLog().WindowSamples(0)[:10])
+	if err := toolio.NewBinWriter(&frame).WriteSamples(&cols); err != nil {
 		t.Fatal(err)
-	}
-	// Keep only the sample frames: drop the hello and checkpoint lines.
-	samples := frames.Bytes()
-	for i := 0; i < 2; i++ {
-		samples = samples[bytes.IndexByte(samples, '\n')+1:]
 	}
 	var tick bytes.Buffer
 	toolio.NewBinWriter(&tick).WriteTick(toolio.WireTick{K: toolio.WireTickKind, IntervalSec: 1, Period: 1})
 
 	cases := map[string]string{
-		"no checkpoint":         hello,
-		"not a checkpoint":      hello + `{"k":"t","records":0,"windows":0}` + "\n",
-		"records missing":       hello + `{"k":"checkpoint","windows":0}` + "\n",
-		"windows missing":       hello + `{"k":"checkpoint","records":0}` + "\n",
-		"records negative":      hello + `{"k":"checkpoint","records":-1,"windows":0}` + "\n",
-		"windows negative":      hello + `{"k":"checkpoint","records":0,"windows":-1}` + "\n",
-		"records not integer":   hello + `{"k":"checkpoint","records":1.5,"windows":0}` + "\n",
-		"records below open":    hello + `{"k":"checkpoint","records":9,"windows":0}` + "\n" + string(samples),
-		"tick after checkpoint": hello + `{"k":"checkpoint","records":0,"windows":0}` + "\n" + tick.String(),
+		"no checkpoint":                 hello,
+		"not a checkpoint":              hello + `{"k":"t","records":0,"windows":0}` + "\n",
+		"records missing":               hello + `{"k":"checkpoint","windows":0}` + "\n",
+		"windows missing":               hello + `{"k":"checkpoint","records":0}` + "\n",
+		"records negative":              hello + `{"k":"checkpoint","records":-1,"windows":0}` + "\n",
+		"windows negative":              hello + `{"k":"checkpoint","records":0,"windows":-1}` + "\n",
+		"records not integer":           hello + `{"k":"checkpoint","records":1.5,"windows":0}` + "\n",
+		"sample frame after checkpoint": hello + checkpoint + frame.String(),
+		"tick after checkpoint":         hello + checkpoint + tick.String(),
+		"blank line after checkpoint":   hello + checkpoint + "\n",
 	}
 	for name, in := range cases {
-		if _, _, err := readMigrationStream(bufio.NewReader(strings.NewReader(in)), toolio.MaxWireLine, 1<<22); err == nil {
+		if _, _, err := readMigrationStream(bufio.NewReader(strings.NewReader(in)), toolio.MaxWireLine); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	ok := hello + `{"k":"checkpoint","records":10,"windows":0}` + "\n" + string(samples)
-	if _, snap, err := readMigrationStream(bufio.NewReader(strings.NewReader(ok)), toolio.MaxWireLine, 1<<22); err != nil || len(snap.open) != len(open) {
-		t.Errorf("records == open: err %v", err)
+	if _, snap, err := readMigrationStream(bufio.NewReader(strings.NewReader(hello+checkpoint)), toolio.MaxWireLine); err != nil || snap.records != 10 {
+		t.Errorf("hello and checkpoint: err %v, %d records", err, snap.records)
 	}
 }
 
 // FuzzReadMigrationStream feeds mutated migration streams to the import
 // parser and restores every accepted one. The invariant: an error, never a
-// panic; an accepted checkpoint covers its open window, and the restored
-// session's next advice counts exactly the open window's records.
+// panic; an accepted stream rebuilds a session whose detector counts the
+// checkpoint's records and whose next advice, on an empty window, counts 0.
 func FuzzReadMigrationStream(f *testing.F) {
 	log := syntheticLog()
-	big := make([]detect.Sample, toolio.MaxWireBatch)
-	for i := range big {
-		big[i] = log.Samples[i%len(log.Samples)]
-	}
 	for _, snap := range []snapshot{
 		{pageSize: log.PageSize, records: uint64(log.Windows[1].End), windows: 2},
-		{pageSize: log.PageSize, records: uint64(log.Windows[2].End + 100), windows: 3, open: log.WindowSamples(3)[:100]},
-		// Still in its first window: records == len(open), the boundary
-		// the underflow check guards.
-		{pageSize: log.PageSize, records: 99, windows: 0, open: log.Samples[:99]},
-		{pageSize: log.PageSize, records: toolio.MaxWireBatch, windows: 0, open: big},
+		{pageSize: 2 << 20, records: 0, windows: 0},
+		{pageSize: toolio.MaxWirePageSize, records: 1 << 40, windows: 1 << 30},
 	} {
 		var buf bytes.Buffer
 		if err := writeMigrationStream(&buf, "fuzz", snap); err != nil {
@@ -369,43 +353,55 @@ func FuzzReadMigrationStream(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// The stream an older node sent mid-window: a trailing sample frame.
+	var trailing bytes.Buffer
+	writeMigrationStream(&trailing, "fuzz", snapshot{pageSize: log.PageSize, records: 100, windows: 0})
+	var cols toolio.SampleColumns
+	packColumns(&cols, log.Samples[:100])
+	if err := toolio.NewBinWriter(&trailing).WriteSamples(&cols); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(trailing.Bytes())
 	dcfg := Config{}.withDefaults().Detect
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A frame of MaxWireBatch samples fits the 1 MiB cap; a smaller cap
-		// than the service default keeps each execution's buffers small.
-		tenant, snap, err := readMigrationStream(bufio.NewReader(bytes.NewReader(data)), 1<<20, 1<<17)
+		tenant, snap, err := readMigrationStream(bufio.NewReader(bytes.NewReader(data)), 1<<20)
 		if err != nil {
 			return
 		}
-		if snap.records < uint64(len(snap.open)) || snap.windows < 0 {
-			t.Fatalf("accepted checkpoint %d records / %d windows over %d open samples", snap.records, snap.windows, len(snap.open))
+		if snap.windows < 0 {
+			t.Fatalf("accepted checkpoint with %d windows", snap.windows)
 		}
 		s, err := rebuildSession(tenant, snap, dcfg)
 		if err != nil {
 			return
 		}
+		if s.det.TotalRecords != snap.records {
+			t.Fatalf("restored detector counts %d records, checkpoint %d", s.det.TotalRecords, snap.records)
+		}
 		adv := s.advise(toolio.WireTick{K: toolio.WireTickKind, IntervalSec: 1, Period: 1}, detect.DefaultPeriodController(), "")
-		if adv.Records != uint64(len(snap.open)) || s.det.TotalRecords != snap.records {
-			t.Fatalf("restored advice counts %d records (detector %d), want %d (%d)", adv.Records, s.det.TotalRecords, len(snap.open), snap.records)
+		if adv.Records != 0 {
+			t.Fatalf("restored session's first advice counts %d records, want 0", adv.Records)
 		}
 	})
 }
 
-// TestImportTruncatedInstallsNothing: a migration stream cut off mid-flight
-// must leave the destination with no session at all — never a partially
-// replayed one.
+// TestImportTruncatedInstallsNothing: a migration stream cut off inside
+// its checkpoint line must leave the destination with no session at all.
 func TestImportTruncatedInstallsNothing(t *testing.T) {
 	log := syntheticLog()
 	srv, hs := newTestServer(t, Config{Shards: 1, Migratable: true})
 
-	open := log.WindowSamples(1)
-	snap := snapshot{pageSize: log.PageSize, records: uint64(log.Windows[1].End), windows: 1, open: open}
+	snap := snapshot{pageSize: log.PageSize, records: uint64(log.Windows[1].End), windows: 2}
 	var buf bytes.Buffer
 	if err := writeMigrationStream(&buf, "trunc-1", snap); err != nil {
 		t.Fatal(err)
 	}
+	hello := bytes.IndexByte(buf.Bytes(), '\n') + 1
 	truncated := buf.Bytes()[:buf.Len()-10]
-	resp, err := http.Post(hs.URL+"/v1/import", "application/octet-stream", bytes.NewReader(truncated))
+	if len(truncated) <= hello {
+		t.Fatalf("the cut at %d bytes is not inside the checkpoint line, which starts at %d", len(truncated), hello)
+	}
+	resp, err := http.Post(hs.URL+"/v1/import", "application/x-ndjson", bytes.NewReader(truncated))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,9 +464,9 @@ func TestEvictionRacingMigration(t *testing.T) {
 		if ack.Migrated {
 			// Migration won: destination must hold the whole prefix.
 			moved, st := exportSnap(t, hsB.URL, tenant)
-			if st != http.StatusOK || moved.windows != cut || moved.records != uint64(log.Windows[cut-1].End) || len(moved.open) != 0 {
-				t.Fatalf("round %d: migrated session not whole: status %d, %d records / %d windows / %d open",
-					round, st, moved.records, moved.windows, len(moved.open))
+			if st != http.StatusOK || moved.windows != cut || moved.records != uint64(log.Windows[cut-1].End) {
+				t.Fatalf("round %d: migrated session not whole: status %d, %d records / %d windows",
+					round, st, moved.records, moved.windows)
 			}
 			adv2 := streamSpan(t, hsB.URL, tenant, log, pos(log, cut, 0), pos(log, len(log.Windows), 0))
 			if !bytes.HasSuffix(wantFull, adv2) {
@@ -525,7 +521,7 @@ func TestMigrateRejectsBadTarget(t *testing.T) {
 	}
 }
 
-// TestMigrateNotMigratable: nodes without capture refuse the whole surface
+// TestMigrateNotMigratable: non-migratable nodes refuse the whole surface
 // with 409.
 func TestMigrateNotMigratable(t *testing.T) {
 	_, hs := newTestServer(t, Config{Shards: 1})

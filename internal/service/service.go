@@ -74,14 +74,11 @@ type Config struct {
 	// detect.RecommendBackend. The recommendation is additive: it never
 	// changes any other advice field.
 	RecommendBackend string
-	// Migratable turns on per-session capture of the open window: every
-	// session keeps the samples it accepted since its last tick, so it can
-	// be exported through /v1/export and moved to another node by
-	// /v1/migrate as a checkpoint (cumulative counters plus the open
-	// window). The destination restores byte-identical window state through
-	// the same feed/advise path (the cluster tier's live-rebalancing
-	// substrate, DESIGN §17). Capture costs one window of samples per
-	// session, whatever the session's age.
+	// Migratable serves the migration endpoints (/v1/export, /v1/import,
+	// /v1/migrate): a session at a tick boundary moves to another node as a
+	// checkpoint of two counters, and its advice there continues
+	// byte-identical (the cluster tier's live-rebalancing substrate, DESIGN
+	// §17). It costs a session no memory.
 	Migratable bool
 	// NodeID names this node in /healthz membership metadata (the cluster
 	// router's health probe doubles as discovery). Empty means "tmid".
@@ -213,13 +210,6 @@ type session struct {
 	lastSeen time.Time
 	seen     uint64 // detector records at the last tick
 	ticks    int
-	// open captures the samples accepted since the last tick when capture
-	// is on (the server is Migratable). With the seen/ticks counters it is
-	// the session's whole migratable state: a window's advice depends on
-	// that window alone, so feeding open to a fresh session restores this
-	// one's detector window exactly. advise truncates it, keeping capacity.
-	capture bool
-	open    []detect.Sample
 }
 
 // newSession builds the per-tenant detector exactly the way the offline
@@ -243,10 +233,6 @@ func (s *session) feed(samples []detect.Sample) {
 	for _, sm := range samples {
 		s.det.Ingest(sm)
 	}
-	if s.capture {
-		// Capture copies the batch: the caller's buffer is recycled.
-		s.open = append(s.open, samples...)
-	}
 }
 
 // advise closes the window a tick message describes and renders the advice
@@ -259,9 +245,6 @@ func (s *session) feed(samples []detect.Sample) {
 // the finished advice, so a recommending service and a silent one agree on
 // every other byte.
 func (s *session) advise(tick toolio.WireTick, periods detect.PeriodController, policy string) toolio.WireAdvice {
-	// The tick closes the open window: its samples stop being migratable
-	// state.
-	s.open = s.open[:0]
 	req := s.det.Analyze(tick.IntervalSec, tick.Period)
 	window := s.det.TotalRecords - s.seen
 	s.seen = s.det.TotalRecords

@@ -127,7 +127,6 @@ func (sh *shard) session(tenant string, pageSize int, now time.Time) (*session, 
 	if err != nil {
 		return nil, err
 	}
-	s.capture = sh.srv.cfg.Migratable
 	s.lastSeen = now
 	sh.sessions[tenant] = s
 	sh.srv.metrics.sessionsActive.Add(1)

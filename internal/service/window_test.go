@@ -79,8 +79,8 @@ func adviseAfter(t *testing.T, log *trace.SampleLog, prefix []int, w int) []byte
 // samples and tick alone. For every window W and several prefixes P — none,
 // one window, every earlier window, and the earlier windows twice over — a
 // session fed P then W renders W's advice byte-identical to a fresh session
-// fed only W. So a session's migratable state needs the open window plus
-// counters, never the closed windows' samples.
+// fed only W. So at a tick boundary a session's migratable state is two
+// counters, never a closed window's samples.
 func TestAdviceIndependentOfPrefix(t *testing.T) {
 	for name, log := range map[string]*trace.SampleLog{"synthetic": syntheticLog(), "varied": variedLog()} {
 		flagged := 0

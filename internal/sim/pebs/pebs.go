@@ -57,20 +57,10 @@ type Buffer struct {
 	Dropped uint64
 }
 
-// Drain returns and clears the buffered records, handing ownership of the
-// backing array to the caller (the buffer reallocates on its next record).
-func (b *Buffer) Drain() []Record {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := b.records
-	b.records = nil
-	return out
-}
-
 // DrainInto appends the buffered records to dst and returns the extended
-// slice, clearing the buffer while keeping its backing array. Unlike Drain
-// it allocates nothing once dst and the buffer reach steady-state capacity,
-// which is what keeps the detector's once-per-tick drain off the heap.
+// slice, clearing the buffer while keeping its backing array. It allocates
+// nothing once dst and the buffer reach steady-state capacity, which is
+// what keeps the detector's once-per-tick drain off the heap.
 func (b *Buffer) DrainInto(dst []Record) []Record {
 	b.mu.Lock()
 	defer b.mu.Unlock()

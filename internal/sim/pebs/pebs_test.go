@@ -11,7 +11,7 @@ func TestPeriodControlsRecordRate(t *testing.T) {
 		s := NewSampler(1, period, 1)
 		for i := 0; i < 10_000; i++ {
 			s.OnHITM(0, 0, 0x400000, 0x1000, 8, false, int64(i))
-			s.Buffer(0).Drain() // keep the buffer from overflowing
+			s.Buffer(0).DrainInto(nil) // keep the buffer from overflowing
 		}
 		return s.RecordsEmitted
 	}
@@ -29,7 +29,7 @@ func TestStoresUnderReport(t *testing.T) {
 	s := NewSampler(1, 1, 42)
 	for i := 0; i < 10_000; i++ {
 		s.OnHITM(0, 0, 0x400000, 0x1000, 8, true, int64(i))
-		s.Buffer(0).Drain()
+		s.Buffer(0).DrainInto(nil)
 	}
 	got := float64(s.RecordsEmitted) / 10_000
 	if got < StoreCaptureRate-0.05 || got > StoreCaptureRate+0.05 {
@@ -67,7 +67,7 @@ func TestBufferOverflowDropsAndInterrupts(t *testing.T) {
 	if cost != int64(BufferRecords+50)*CostAssist+CostInterrupt {
 		t.Errorf("unexpected total cost %d", cost)
 	}
-	recs := b.Drain()
+	recs := b.DrainInto(nil)
 	if len(recs) != BufferRecords || b.Len() != 0 {
 		t.Error("drain should empty the buffer")
 	}
@@ -125,7 +125,7 @@ func TestAddressSkidStaysNearAccess(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		s.OnHITM(0, 0, 0x400000, addr, size, false, int64(i))
 	}
-	for _, r := range s.Buffer(0).Drain() {
+	for _, r := range s.Buffer(0).DrainInto(nil) {
 		switch r.Addr {
 		case addr:
 		case addr - size, addr + size:
