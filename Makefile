@@ -22,8 +22,9 @@
 # with one node killed and one added mid-run under a 16-client fleet:
 # zero lost sessions, advice byte-identical to the offline replay) and
 # fuzz (short runs of the migration-stream, sample-decoder, stream-framer,
-# hello-reader and router-reload fuzzers: hostile input must be an error,
-# never a panic, a corrupt restored session, an out-of-range sample or a
+# encoding-differential, hello-reader and router-reload fuzzers: hostile
+# input must be an error, never a panic, a corrupt restored session, an
+# out-of-range sample, a batch the two encodings decode differently or a
 # ring member that is not a node URL) and perfbench (vet and
 # unit tests of the benchmark module, which `go build ./...` at the root
 # never compiles because it is a module of its own).
@@ -48,8 +49,8 @@ race:
 	$(GO) test -race ./...
 
 # The sweep executor fans simulation cells across GOMAXPROCS workers and
-# the tmid service runs sharded detector goroutines under concurrent HTTP
-# streams. The simulator's token handoff moves execution across a web of
+# the tmid service's concurrent HTTP streams take turns on shared detector
+# shards. The simulator's token handoff moves execution across a web of
 # coroutines, each thread switching straight to the next: machine, and
 # psync and core, which block, wake and abort its threads. These are
 # the subsystems with host-level concurrency, so they get a dedicated
@@ -65,13 +66,18 @@ bench:
 	$(GO) run ./cmd/tmibench -experiment all -runs 3 -bench-json auto
 
 # microbench runs the access-path microbenchmarks (single-access latency,
-# HITM transfer, step throughput, PTSB commit scan) and the router's relay
+# HITM transfer, step throughput, PTSB commit scan), the router's relay
 # hop (one window's round trip through the router to one in-process node),
-# and folds micro.* ns/op, allocs/op and custom per-op stats (the relay's
-# upstream writes/op) into the day's newest BENCH_<date>[.N].json point.
+# tmid's ingest path (the period-1 histogramfs trace as one in-memory
+# stream through the stream handler, per encoding) and a detector window
+# (Ingest then Analyze over the same trace), and folds micro.* ns/op,
+# allocs/op and custom per-op stats (the relay's upstream writes/op, the
+# ingest path's and the detector's ns/record) into the day's newest
+# BENCH_<date>[.N].json point. Wall time here is a trend; allocgate gates
+# the allocation counts.
 microbench:
-	$(GO) test -run '^$$' -bench 'AccessLatencyL1|AccessHITMPath|StepThroughput|Commit.*Page|RelayWindow' -benchmem \
-		./internal/sim/machine ./internal/ptsb ./internal/cluster | $(GO) run ./cmd/tmimicro
+	$(GO) test -run '^$$' -bench 'AccessLatencyL1|AccessHITMPath|StepThroughput|Commit.*Page|RelayWindow|StreamIngest|DetectorWindow' -benchmem \
+		./internal/sim/machine ./internal/ptsb ./internal/cluster ./internal/service ./internal/detect | $(GO) run ./cmd/tmimicro
 
 # benchgate is the determinism gate: fig9's rendered table must be
 # byte-identical to the committed golden. Any change to scheduling,
@@ -138,13 +144,14 @@ cluster-smoke:
 # allocgate runs the steady-state allocation guards without the race
 # detector (AllocsPerRun is meaningless under -race, so the race-harness
 # lane skips them): the binary wire codec's reader/writer, the service's
-# whole decode-convert-recycle ingest path and a detector window (Ingest
+# whole ingest path (decode, convert into the stream's reused buffer, feed
+# under the shard's turn) and a detector window (Ingest
 # then Analyze, no page over the threshold) must stay at 0 allocs/op, and
 # so must the simulator's access path: a coherence access, a machine
 # instruction (also under an external scheduler), a PEBS drain, a PTSB
 # commit and an access through core's wired hooks under TMI detect. The
-# per-tenant footprint gate rides along: a tmid session fed one window by
-# the shard of a migratable node holds at most 16 KiB of live heap at
+# per-tenant footprint gate rides along: a tmid session fed one window
+# under a migratable node's shard turn holds at most 16 KiB of live heap at
 # 4 KiB and 2 MiB pages, and so does
 # one fed 10,000 windows on fresh pages (within 1 KiB of its one-window
 # figure), one on 1 GiB pages sampled near page tops, and one fed the
@@ -165,6 +172,10 @@ allocgate:
 # share (WireReader) over whole bodies in either encoding: its raw messages
 # must reassemble the input, every raw frame header must be valid, and
 # every decoded frame must be within the wire limits. Then it fuzzes the
+# two encodings against each other (FuzzWireEncodingsAgree): a batch of
+# any values the binary columns carry, out-of-range ones included, encoded
+# as one NDJSON line and as one binary frame, must decode to identical
+# columns through WireReader or be rejected by both. Then it fuzzes the
 # hello reader all three stream readers open with (ReadHello): an accepted
 # hello must pass CheckHello with a power-of-two page size in range, and
 # its raw bytes must be one '\n'-terminated line. Last it fuzzes the
@@ -173,12 +184,13 @@ allocgate:
 # absolute http(s) URL with a host. The seeds include ~1 MiB inputs of
 # MaxWireBatch samples; capping minimization keeps the time budget on
 # fuzzing rather than on shrinking one large input. go test fuzzes one
-# target per run, hence six runs.
+# target per run, hence seven runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadMigrationStream -fuzztime 10s -fuzzminimizetime 10x ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireMsg -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzBinReaderReadFrame -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzWireReader -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
+	$(GO) test -run '^$$' -fuzz FuzzWireEncodingsAgree -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzReadHello -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzRouterReload -fuzztime 10s -fuzzminimizetime 10x ./internal/cluster
 

@@ -1,6 +1,6 @@
 // Command tmid runs the false sharing detection-and-repair-advice service:
 // a long-running HTTP server that ingests NDJSON streams of resolved HITM
-// samples from many tenants, shards each tenant onto a detector worker, and
+// samples from many tenants, shards each tenant onto a detector shard, and
 // streams back per-tick repair advice plus adaptive sampling-period
 // feedback (see internal/service and DESIGN §12).
 //
@@ -11,7 +11,8 @@
 //	tmid -shards 8 -queue 512 -ttl 30s   # scale and lifecycle knobs
 //
 // Endpoints: POST /v1/stream, GET /healthz, GET /metrics (Prometheus text).
-// SIGINT/SIGTERM drain gracefully: no new streams, queued work finishes.
+// SIGINT/SIGTERM drain gracefully: no new streams, work holding a shard
+// finishes, work waiting for one is refused with a retryable error.
 package main
 
 import (
@@ -35,8 +36,8 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":7412", "listen address (port 0 picks an ephemeral port)")
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (for scripted startup)")
-		shards     = flag.Int("shards", 4, "detector shard workers (tenants are hash-routed)")
-		queue      = flag.Int("queue", 256, "per-shard bounded ingest queue depth")
+		shards     = flag.Int("shards", 4, "detector shards (tenants are hash-routed)")
+		queue      = flag.Int("queue", 256, "per-shard bound on operations holding or waiting for the shard; new streams past it get 429")
 		ttl        = flag.Duration("ttl", 60*time.Second, "idle tenant session eviction TTL")
 		wait       = flag.Duration("enqueue-wait", 5*time.Second, "backpressure wait before a saturated shard drops a batch")
 		threshold  = flag.Float64("threshold", detect.DefaultConfig().ThresholdPerSec, "est. HITM events/s per line above which repair is advised")

@@ -287,6 +287,46 @@ func TestKillMidStreamIsRetryable(t *testing.T) {
 	}
 }
 
+// TestDeadMigrationSourceLeavesRing: a migration that fails because its
+// source never answers reports the source as failed, so with FailAfter 1
+// the next stream the dead source owned fails fast instead of trying (and
+// failing) a migration of its own. The prober is off, so only the relay
+// can learn of the death.
+func TestDeadMigrationSourceLeavesRing(t *testing.T) {
+	log := syntheticLog()
+	lc := newLocal(t, 1, Config{ProbeInterval: -1, FailAfter: 1})
+
+	tenants := []string{"dead-src-1", "dead-src-2"}
+	conns := make([]*streamConn, len(tenants))
+	for i, tenant := range tenants {
+		conns[i] = openStream(t, lc.RouterURL, tenant, log.PageSize, "")
+		defer conns[i].close()
+		conns[i].sendWindow(t, log, 0)
+	}
+
+	// Kill the source, then bump the ring so both tenants belong to a new
+	// node; the router still believes the source alive.
+	src := lc.Kill(0)
+	if _, err := lc.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	lc.Drain(0)
+
+	for i, want := range []string{"migration failed", "owning node lost"} {
+		line := conns[i].sendWindow(t, log, 1)
+		m, err := toolio.DecodeWireMsg(bytes.TrimRight(line, "\n"))
+		if err != nil || m.K != toolio.WireErrorKind || m.RetryMs <= 0 || !strings.Contains(m.Error, want) {
+			t.Fatalf("%s: reply %s, want a retryable wire error mentioning %q", tenants[i], line, want)
+		}
+		if i == 0 && lc.Router.nodeAlive(src) {
+			t.Errorf("source still alive after a migration it never answered")
+		}
+	}
+	if ms := lc.Router.MigrationStats(); ms.Failed != 1 || ms.OK != 0 {
+		t.Errorf("migrations = %+v, want exactly one failed", ms)
+	}
+}
+
 // TestRouterAdminAndMetrics covers the operator surface: ring snapshots,
 // membership edits over HTTP, config reload, and the aggregated metrics
 // exposition.

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"repro/internal/service"
@@ -21,8 +23,9 @@ import (
 // own request/reply rhythm as its migration barrier:
 //
 //   - after a tick's advice has come back, every sample the relay ever
-//     forwarded has been fully ingested by the owning node (the advice
-//     reply is produced behind them in the shard queue), and nothing has
+//     forwarded has been fully ingested by the owning node (its stream
+//     handler feeds each batch before it reads the next frame, and the tick
+//     comes after them), and nothing has
 //     been forwarded since — the stream is "clean";
 //   - ring-generation changes are only acted on at clean boundaries, so an
 //     export can never race an in-flight batch;
@@ -148,7 +151,8 @@ func (rt *Router) closeLeg(l *leg) {
 
 // MigrateTenant moves one tenant's session from src to dst through src's
 // /v1/migrate, returning the acked record count (0 with a nil error when
-// the source had no session to move). It observes migration latency and
+// the source had no session to move). A source that never answered fails
+// it with the HTTP client's *url.Error. It observes migration latency and
 // outcome in the router metrics.
 func (rt *Router) MigrateTenant(src, dst, tenant string) (int, error) {
 	start := rt.cfg.now()
@@ -358,6 +362,13 @@ func (rt *Router) switchLeg(old *leg, tenant string, helloRaw []byte, newOwner s
 		return nil, false
 	}
 	if _, err := rt.MigrateTenant(src, newOwner, tenant); err != nil {
+		// A source that never answered (a transport error, not a status)
+		// counts toward its failure, so the other streams it owned fail
+		// fast instead of each trying a migration of its own. A source that
+		// answered, say 409 for an open window, is alive.
+		if errors.As(err, new(*url.Error)) {
+			rt.reportNodeFailure(src)
+		}
 		failStream("tmirouter: migration failed: "+err.Error(), retryMsDefault)
 		return nil, false
 	}

@@ -9,8 +9,6 @@ import (
 	"repro/internal/detect"
 	"repro/internal/raceflag"
 	"repro/internal/toolio"
-	"repro/tmi"
-	"repro/tmi/workloads"
 )
 
 // maxSessionBytes bounds the live heap one resident session may hold after
@@ -35,8 +33,8 @@ func heapAfterGC() int64 {
 //
 //   - 4KiB, 2MiB: 32 sessions, each fed the first window of a period-1
 //     histogramfs trace and ticked once, hold at most maxSessionBytes
-//     apiece. They are built the way a cluster node builds them: by the
-//     shard of a Migratable server, measured from after New.
+//     apiece. They are built the way a cluster node builds them: under
+//     the shard turn of a Migratable server, measured from after New.
 //   - age: one session fed 10,000 windows, each on a fresh 4 KiB page,
 //     holds no more than it held after the first window plus 1 KiB, and at
 //     most maxSessionBytes.
@@ -60,16 +58,7 @@ func TestSessionFootprint(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const sessions = 32
-			rep, err := tmi.Run(workloads.HistogramFS(workloads.VariantFS), tmi.Config{
-				System: tmi.TMIDetect, Period: 1, HugePages: tc.huge, Seed: 1, CaptureSamples: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			log := rep.SampleLog
-			if log == nil || len(log.Windows) == 0 || len(log.WindowSamples(0)) == 0 {
-				t.Fatal("histogramfs captured no sample window")
-			}
+			log := histogramfsTrace(t, tc.huge)
 			window := log.WindowSamples(0)
 			tick := toolio.WireTick{Seq: 1, IntervalSec: log.Windows[0].IntervalSec, Period: log.Windows[0].Period}
 

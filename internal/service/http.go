@@ -15,47 +15,26 @@ import (
 	"repro/internal/toolio"
 )
 
-// recycleDepth is the capacity of a stream's sample-buffer free list. The
-// reader owns one buffer while decoding and the shard queue holds at most
-// a few of this stream's batches at once, so a small pool is enough to
-// make the steady state allocation-free; overflow buffers just fall to the
-// garbage collector.
-const recycleDepth = 4
-
 // stream is one admitted /v1/stream exchange: the negotiated session
-// parameters plus the per-stream sample-buffer free list that the
-// zero-copy ingest path recycles batches through.
+// parameters plus the sample buffer every samples frame is converted into.
 type stream struct {
 	tenant   string
 	pageSize int
-	sh       *shard
-	free     chan []detect.Sample
-	reply    chan toolio.WireAdvice
+	// samples is reused for every frame: the session has ingested it by
+	// the time the shard's turn is released.
+	samples []detect.Sample
 }
 
-// buffer returns a recycled sample buffer of length n (allocating only
-// when the free list is empty or too small — warmup, never steady state).
-func (st *stream) buffer(n int) []detect.Sample {
-	select {
-	case b := <-st.free:
-		if cap(b) >= n {
-			return b[:n]
-		}
-	default:
-	}
-	if n < toolio.MaxWireBatch/16 {
-		// Round up so one early small batch doesn't pin an undersized
-		// buffer in the pool forever.
-		return make([]detect.Sample, n, toolio.MaxWireBatch/16)
-	}
-	return make([]detect.Sample, n)
-}
-
-// convert copies one decoded columnar batch into a recycled sample buffer.
+// convert copies one decoded columnar batch into the stream's sample
+// buffer, growing it only for a batch larger than any before.
 func (st *stream) convert(cols *toolio.SampleColumns) []detect.Sample {
-	samples := st.buffer(cols.Len())
-	unpackColumns(samples, cols)
-	return samples
+	n := cols.Len()
+	if cap(st.samples) < n {
+		st.samples = make([]detect.Sample, n)
+	}
+	st.samples = st.samples[:n]
+	unpackColumns(st.samples, cols)
+	return st.samples
 }
 
 // unpackColumns copies cols into dst, which holds cols.Len() samples. The
@@ -75,9 +54,9 @@ func unpackColumns(dst []detect.Sample, cols *toolio.SampleColumns) {
 // handleStream serves POST /v1/stream: an NDJSON hello negotiating the
 // sample encoding, then sample/tick rounds in that encoding, with one
 // NDJSON advice line flushed back per tick. Admission is checked against
-// the tenant's shard before any work is queued: a saturated shard answers
-// 429 with Retry-After, which keeps the service's memory bounded by
-// (shards × queue depth × batch size) no matter how many clients push.
+// the tenant's shard before any work is done: a shard whose turn has
+// QueueDepth operations holding or waiting for it answers 429 with
+// Retry-After, so a pile-up of clients is turned away instead of queued.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	br := bufio.NewReaderSize(r.Body, 256<<10)
 	if s.draining.Load() {
@@ -91,8 +70,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	binary := hello.Wire == toolio.WireFormatBinary
 
-	sh := s.shardFor(hello.Tenant)
-	if sh.saturated() {
+	if s.shardFor(hello.Tenant).saturated() {
 		s.metrics.rejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds()))
 		Refuse(w, br, "tmid: shard saturated, retry later", http.StatusTooManyRequests)
@@ -115,13 +93,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		flush()
 	}
 
-	st := &stream{
-		tenant:   hello.Tenant,
-		pageSize: hello.PageSize,
-		sh:       sh,
-		free:     make(chan []detect.Sample, recycleDepth),
-		reply:    make(chan toolio.WireAdvice, 1),
-	}
+	st := &stream{tenant: hello.Tenant, pageSize: hello.PageSize}
 	s.runStream(w, toolio.NewWireReader(br, hello.Wire, s.cfg.MaxFrameBytes), binary, st, fail, flush)
 	// EOF ends the stream but not the session: the tenant may reconnect and
 	// continue until the TTL evicts it. A mid-stream abort (fail already
@@ -169,8 +141,8 @@ func OpenStream(w http.ResponseWriter) (flush func()) {
 // runStream consumes the sample/tick messages after the hello, in either
 // encoding. The binary path is allocation-free at steady state: frames
 // land in the reader's reused buffer, columns are unpacked into its reused
-// column slices, and the record copy lands in a recycled per-stream sample
-// buffer whose ownership passes to the shard (recycled back on consume).
+// column slices, and the record copy lands in the stream's reused sample
+// buffer, which the session ingests under the shard's turn.
 func (s *Server) runStream(w http.ResponseWriter, rd *toolio.WireReader, binary bool, st *stream, fail func(toolio.WireError), flush func()) {
 	wireRecords := &s.metrics.wireRecordsNDJSON
 	if binary {
@@ -192,98 +164,79 @@ func (s *Server) runStream(w http.ResponseWriter, rd *toolio.WireReader, binary 
 			if fr.Samples.Len() == 0 {
 				continue
 			}
-			samples := st.convert(fr.Samples)
-			wireRecords.Add(uint64(len(samples)))
-			if !s.enqueueSamples(st, samples, fail) {
+			wireRecords.Add(uint64(fr.Samples.Len()))
+			if werr, ok := s.ingest(st, fr.Samples); !ok {
+				fail(werr)
 				return
 			}
 		case toolio.WireTickKind[0]:
-			if !s.handleTick(w, st, fr.Tick, fail, flush) {
+			adv, werr, ok := s.advise(st, fr.Tick)
+			if !ok {
+				fail(werr)
 				return
 			}
+			w.Write(toolio.EncodeWire(adv))
+			flush()
 		}
 	}
 }
 
-// enqueueSamples hands one owned sample buffer to the stream's shard,
-// reporting backpressure drops on the wire. The shard recycles the buffer
-// into st.free once the batch is ingested.
-func (s *Server) enqueueSamples(st *stream, samples []detect.Sample, fail func(toolio.WireError)) bool {
-	j := job{tenant: st.tenant, pageSize: st.pageSize, samples: samples, recycle: st.free}
-	if !s.enqueue(st.sh, j) {
+// ingest feeds one decoded batch into the tenant's open window under its
+// shard's turn. A turn not had within EnqueueWait drops the batch, and the
+// wire error says so.
+func (s *Server) ingest(st *stream, cols *toolio.SampleColumns) (toolio.WireError, bool) {
+	samples := st.convert(cols)
+	var err error
+	ran := s.onShard(st.tenant, func(sh *shard, now time.Time) {
+		var sess *session
+		if sess, err = sh.session(st.tenant, st.pageSize, now); err != nil {
+			return
+		}
+		sess.lastSeen = now
+		sess.feed(samples)
+		s.metrics.records.Add(uint64(len(samples)))
+	})
+	switch {
+	case !ran:
 		s.metrics.droppedBatches.Add(1)
 		s.metrics.droppedRecords.Add(uint64(len(samples)))
-		fail(toolio.WireError{Error: "shard overloaded, batch dropped", RetryMs: 1000})
-		return false
+		return toolio.WireError{Error: "shard overloaded, batch dropped", RetryMs: 1000}, false
+	case err != nil:
+		s.metrics.invalidBatches.Add(1)
+		return toolio.WireError{Error: err.Error()}, false
 	}
-	return true
+	return toolio.WireError{}, true
 }
 
-// handleTick enqueues one window-closing tick, validated at decode, then
-// writes the advice reply back.
-func (s *Server) handleTick(w http.ResponseWriter, st *stream, tick toolio.WireTick, fail func(toolio.WireError), flush func()) bool {
-	j := job{tenant: st.tenant, pageSize: st.pageSize, tick: &tick, reply: st.reply, enqueued: s.cfg.now()}
-	if !s.enqueue(st.sh, j) {
-		s.metrics.droppedBatches.Add(1)
-		fail(toolio.WireError{Error: "shard overloaded, tick dropped", RetryMs: 1000})
-		return false
-	}
-	adv := <-st.reply
-	w.Write(toolio.EncodeWire(adv))
-	flush()
-	return true
-}
-
-// enqueuePoll is how often a backpressured enqueue re-checks the shard
-// queue and the drain flag while waiting out EnqueueWait.
-const enqueuePoll = time.Millisecond
-
-// enqueue puts a job on the shard's bounded queue, waiting up to the
-// configured backpressure wait. false means the queue stayed saturated (or
-// the server began draining) and the job was not queued.
-//
-// The gate read lock is held only across each non-blocking send attempt —
-// never across the wait — so a concurrent Drain acquires the write side
-// in microseconds instead of queueing behind a full EnqueueWait timer
-// (and, RWMutexes being writer-fair, wedging every other reader behind
-// it). Saturated enqueues poll; they observe a closed server within one
-// poll interval and give up, which is what bounds drain latency.
-func (s *Server) enqueue(sh *shard, j job) bool {
-	if sent, closed := s.tryEnqueue(sh, j); sent || closed {
-		return sent
-	}
-	deadline := time.NewTimer(s.cfg.EnqueueWait)
-	defer deadline.Stop()
-	poll := time.NewTicker(enqueuePoll)
-	defer poll.Stop()
-	for {
-		select {
-		case <-poll.C:
-			if sent, closed := s.tryEnqueue(sh, j); sent || closed {
-				return sent
-			}
-		case <-deadline.C:
-			sent, _ := s.tryEnqueue(sh, j)
-			return sent
+// advise closes the tenant's window with a tick, validated at decode,
+// under its shard's turn and returns the advice, timing the wait for the
+// turn (the queue-wait histogram) and the analysis apart. A tick still
+// waiting for its turn when the server drains gets the retryable wire
+// error.
+func (s *Server) advise(st *stream, tick toolio.WireTick) (adv toolio.WireAdvice, werr toolio.WireError, ok bool) {
+	requested := s.cfg.now()
+	var err error
+	ran := s.onShard(st.tenant, func(sh *shard, now time.Time) {
+		var sess *session
+		if sess, err = sh.session(st.tenant, st.pageSize, now); err != nil {
+			return
 		}
+		sess.lastSeen = now
+		start := s.cfg.now()
+		adv = sess.advise(tick, detect.DefaultPeriodController(), s.cfg.RecommendBackend)
+		analyzed := s.cfg.now().Sub(start)
+		s.metrics.ticks.Add(1)
+		s.metrics.observeAdvice(adv, now.Sub(requested), analyzed)
+	})
+	switch {
+	case !ran:
+		s.metrics.droppedBatches.Add(1)
+		return adv, toolio.WireError{Error: "shard overloaded, tick dropped", RetryMs: 1000}, false
+	case err != nil:
+		s.metrics.invalidBatches.Add(1)
+		return adv, toolio.WireError{Error: err.Error()}, false
 	}
-}
-
-// tryEnqueue makes one non-blocking send attempt under a short-held read
-// lock. The lock-ordering invariant ("no send on a closed queue") lives
-// here: the send happens only after closed is re-checked under the gate.
-func (s *Server) tryEnqueue(sh *shard, j job) (sent, closed bool) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.closed {
-		return false, true
-	}
-	select {
-	case sh.jobs <- j:
-		return true, false
-	default:
-		return false, false
-	}
+	return adv, toolio.WireError{}, true
 }
 
 // retryAfter bounds the jittered 429 Retry-After value in whole seconds.

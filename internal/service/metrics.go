@@ -13,8 +13,8 @@ import (
 )
 
 // Metrics is tmid's metric registry, rendered in the Prometheus text
-// exposition format by WriteTo. Counters are atomics updated from shard
-// loops and handlers; the histogram and the scrape-to-scrape rate gauge
+// exposition format by WriteTo. Counters are atomics updated by handlers,
+// inside and outside shard turns; the histogram and the scrape-to-scrape rate gauge
 // take a small mutex (cold paths: one observation per tick, one snapshot
 // per scrape).
 type Metrics struct {
@@ -22,7 +22,7 @@ type Metrics struct {
 	start time.Time
 
 	records        atomic.Uint64 // samples ingested into detectors
-	droppedRecords atomic.Uint64 // samples discarded on enqueue timeout
+	droppedRecords atomic.Uint64 // samples discarded when the shard's turn was not had in time
 	droppedBatches atomic.Uint64
 	invalidBatches atomic.Uint64 // batches refused by the shard (bad session params)
 	rejected       atomic.Uint64 // streams turned away with 429
@@ -32,7 +32,7 @@ type Metrics struct {
 	streamsOpen    atomic.Int64
 	wireFrames     atomic.Uint64 // binary frames decoded (samples + ticks)
 	// Records decoded at the wire boundary, by encoding. These count what
-	// clients sent; the records counter above counts what shards actually
+	// clients sent; the records counter above counts what sessions actually
 	// ingested (the difference is batches dropped on backpressure).
 	wireRecordsNDJSON atomic.Uint64
 	wireRecordsBinary atomic.Uint64
@@ -49,7 +49,7 @@ type Metrics struct {
 
 	mu      sync.Mutex
 	latency promtext.Histogram // tick queue wait
-	analyze promtext.Histogram // tick analysis (session.advise) on the shard
+	analyze promtext.Histogram // tick analysis (session.advise) under the shard's turn
 	// adviceBackend counts advice messages that carried each repair-backend
 	// recommendation (empty when no recommendation policy is configured).
 	adviceBackend map[string]uint64
@@ -65,9 +65,9 @@ func newMetrics(now func() time.Time) *Metrics {
 }
 
 // observeAdvice folds one advice reply into the classification counters and
-// the two tick histograms. The shard samples its clock when it picks the
-// tick up, before advise runs, so latency is the tick's queue wait only;
-// analyze is timed around advise alone.
+// the two tick histograms. The tick samples the clock when it takes its
+// shard's turn, before advise runs, so latency is the tick's queue wait
+// only (request to turn held); analyze is timed around advise alone.
 func (m *Metrics) observeAdvice(adv toolio.WireAdvice, latency, analyze time.Duration) {
 	m.advicePages.Add(uint64(len(adv.Pages)))
 	for _, l := range adv.Lines {
@@ -101,8 +101,9 @@ func newAnalyzeHistogram() promtext.Histogram {
 	return promtext.NewHistogram(5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 1)
 }
 
-// WriteTo renders the registry in Prometheus text format. queueDepths and
-// queueCap describe the shards' ingest queues at scrape time.
+// WriteTo renders the registry in Prometheus text format. queueDepths are
+// the operations holding or waiting for each shard's turn at scrape time,
+// and queueCap their admission bound (Config.QueueDepth).
 func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining bool) {
 	counter := func(name, help string, v uint64) { promtext.Counter(w, name, help, v) }
 	gauge := func(name, help string, v float64) { promtext.Gauge(w, name, help, v) }
@@ -132,7 +133,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	counter("tmid_migrate_failed_total", "Migration imports or pushes that failed (source session kept).", m.migrateFailed.Load())
 
 	// Queue depth per shard plus the shared capacity bound.
-	promtext.Header(w, "tmid_queue_depth", "gauge", "Pending jobs in each shard's bounded ingest queue.")
+	promtext.Header(w, "tmid_queue_depth", "gauge", "Operations holding or waiting for each shard's turn.")
 	for i, d := range queueDepths {
 		fmt.Fprintf(w, "tmid_queue_depth{shard=\"%d\"} %d\n", i, d)
 	}

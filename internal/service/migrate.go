@@ -37,9 +37,9 @@ import (
 //	                           target's /v1/import, cut this copy over
 //
 // Migration safety is the caller's cutover discipline plus this file's
-// atomicity: export snapshots on the owning shard goroutine (never tears
-// against ingest), import installs the fully rebuilt session in one shard
-// job (a racing eviction or ingest sees no session or a whole one, never a
+// atomicity: export snapshots under the owning shard's turn (never tears
+// against ingest), import installs the fully rebuilt session in one turn
+// (a racing eviction or ingest sees no session or a whole one, never a
 // half-restored one), and the source deletes its copy only after the
 // destination acks.
 
@@ -136,11 +136,11 @@ func rebuildSession(tenant string, snap snapshot, dcfg detect.Config) (*session,
 	return s, nil
 }
 
-// exportSnapshot snapshots the tenant's session on its owning shard, in
+// exportSnapshot snapshots the tenant's session under its shard's turn, in
 // one of three states: no session resident (snap nil, pending 0), a
 // session with pending samples in its open window (snap nil), or a session
-// at a tick boundary (snap set). ok is false when the shard did not run
-// the export (draining, or saturated past EnqueueWait).
+// at a tick boundary (snap set). ok is false when the export did not run
+// (draining, or the turn held past EnqueueWait).
 func (s *Server) exportSnapshot(tenant string) (snap *snapshot, pending uint64, ok bool) {
 	ok = s.onShard(tenant, func(sh *shard, _ time.Time) {
 		sess := sh.sessions[tenant]
@@ -211,9 +211,9 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tmid: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// The session was rebuilt off-shard and goes in in this one step, so a
-	// concurrently evicting or ingesting shard observes no session or a
-	// fully restored one, never a half-rebuilt state.
+	// The session was rebuilt off the turn and goes in in this one step, so
+	// a concurrent eviction or ingest observes no session or a fully
+	// restored one, never a half-rebuilt state.
 	installed := s.onShard(tenant, func(sh *shard, now time.Time) {
 		sess.lastSeen = now
 		if sh.sessions[tenant] == nil {
@@ -253,7 +253,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		// Draining is terminal here: shard queues are closing and a push
+		// Draining is terminal here: shard turns are closing and a push
 		// begun now may not finish. The router's DrainNode is the supported
 		// way to move sessions off a node that is going away.
 		http.Error(w, "tmid: draining", http.StatusServiceUnavailable)
@@ -294,8 +294,8 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tmid: migrate push: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	// Destination acked: cut this copy over. The removal runs on the owning
-	// shard, serialized against any straggling ingest for the tenant.
+	// Destination acked: cut this copy over. The removal runs under the
+	// shard's turn, serialized against any straggling ingest for the tenant.
 	s.onShard(req.Tenant, func(sh *shard, _ time.Time) {
 		if sh.sessions[req.Tenant] != nil {
 			delete(sh.sessions, req.Tenant)

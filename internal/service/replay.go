@@ -64,6 +64,84 @@ func ReplayWithPolicy(log *trace.SampleLog, pageSize int, dcfg detect.Config, pe
 	return out.Bytes(), nil
 }
 
+// encodeStream writes the /v1/stream request body for log, repeated
+// repeat times, onto bw: the hello, then every window as BatchRecords-
+// record batches in the client's encoding and its tick, flushing after
+// each tick. It counts what it sent into res.
+func (c *Client) encodeStream(bw *bufio.Writer, log *trace.SampleLog, repeat int, res *ReplayResult) error {
+	pageSize := c.PageSize
+	if pageSize == 0 {
+		pageSize = 4096
+	}
+	batch := c.BatchRecords
+	if batch <= 0 {
+		batch = DefaultBatchRecords
+	}
+	binMode := c.Wire == toolio.WireFormatBinary
+	hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: c.Tenant, PageSize: pageSize, Wire: c.Wire}
+	if _, err := bw.Write(toolio.EncodeWire(hello)); err != nil {
+		return err
+	}
+	var enc *toolio.BinWriter
+	var cols toolio.SampleColumns
+	if binMode {
+		enc = toolio.NewBinWriter(bw)
+	}
+	var ferr error
+	forEachWindow(log, repeat, func(seq int, samples []detect.Sample, w trace.SampleWindow) {
+		if ferr != nil {
+			return
+		}
+		for lo := 0; lo < len(samples); lo += batch {
+			hi := lo + batch
+			if hi > len(samples) {
+				hi = len(samples)
+			}
+			if binMode {
+				packColumns(&cols, samples[lo:hi])
+				if err := enc.WriteSamples(&cols); err != nil {
+					ferr = err
+					return
+				}
+			} else {
+				msg := toolio.WireSamples{K: toolio.WireSamplesKind, S: make([][4]uint64, hi-lo)}
+				for i, sm := range samples[lo:hi] {
+					wr := uint64(0)
+					if sm.Write {
+						wr = 1
+					}
+					msg.S[i] = [4]uint64{uint64(sm.TID), sm.Addr, uint64(sm.Width), wr}
+				}
+				if _, err := bw.Write(toolio.EncodeWire(msg)); err != nil {
+					ferr = err
+					return
+				}
+			}
+			res.Records += hi - lo
+		}
+		tick := toolio.WireTick{K: toolio.WireTickKind, Seq: seq, IntervalSec: w.IntervalSec, Period: w.Period}
+		if binMode {
+			if err := enc.WriteTick(tick); err != nil {
+				ferr = err
+				return
+			}
+		} else if _, err := bw.Write(toolio.EncodeWire(tick)); err != nil {
+			ferr = err
+			return
+		}
+		// Flush the tick so the server sees the whole window now: the
+		// response side is waiting for this tick's advice line.
+		if err := bw.Flush(); err != nil {
+			ferr = err
+		}
+		res.Ticks++
+	})
+	if ferr != nil {
+		return ferr
+	}
+	return bw.Flush()
+}
+
 // packColumns copies samples into cols for a binary samples frame, reusing
 // the columns' capacity.
 func packColumns(cols *toolio.SampleColumns, samples []detect.Sample) {
@@ -128,87 +206,15 @@ type ReplayResult struct {
 // returns *ErrBusy; a mid-stream wire error returns an error wrapping the
 // server's message.
 func (c *Client) Replay(log *trace.SampleLog, repeat int) (*ReplayResult, error) {
-	pageSize := c.PageSize
-	if pageSize == 0 {
-		pageSize = 4096
-	}
-	batch := c.BatchRecords
-	if batch <= 0 {
-		batch = DefaultBatchRecords
-	}
 	pr, pw := io.Pipe()
 	res := &ReplayResult{}
 	// The writer side runs concurrently with response reading: the server
 	// replies once per tick, and the client's tick cadence keeps at most a
-	// few batches in flight — the HTTP analog of the bounded shard queue.
+	// few batches in flight — the HTTP analog of the bounded wait for a
+	// shard's turn.
 	writeErr := make(chan error, 1)
-	binMode := c.Wire == toolio.WireFormatBinary
 	go func() {
-		bw := bufio.NewWriterSize(pw, 256<<10)
-		werr := func() error {
-			hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: c.Tenant, PageSize: pageSize, Wire: c.Wire}
-			if _, err := bw.Write(toolio.EncodeWire(hello)); err != nil {
-				return err
-			}
-			var enc *toolio.BinWriter
-			var cols toolio.SampleColumns
-			if binMode {
-				enc = toolio.NewBinWriter(bw)
-			}
-			var ferr error
-			forEachWindow(log, repeat, func(seq int, samples []detect.Sample, w trace.SampleWindow) {
-				if ferr != nil {
-					return
-				}
-				for lo := 0; lo < len(samples); lo += batch {
-					hi := lo + batch
-					if hi > len(samples) {
-						hi = len(samples)
-					}
-					if binMode {
-						packColumns(&cols, samples[lo:hi])
-						if err := enc.WriteSamples(&cols); err != nil {
-							ferr = err
-							return
-						}
-					} else {
-						msg := toolio.WireSamples{K: toolio.WireSamplesKind, S: make([][4]uint64, hi-lo)}
-						for i, sm := range samples[lo:hi] {
-							wr := uint64(0)
-							if sm.Write {
-								wr = 1
-							}
-							msg.S[i] = [4]uint64{uint64(sm.TID), sm.Addr, uint64(sm.Width), wr}
-						}
-						if _, err := bw.Write(toolio.EncodeWire(msg)); err != nil {
-							ferr = err
-							return
-						}
-					}
-					res.Records += hi - lo
-				}
-				tick := toolio.WireTick{K: toolio.WireTickKind, Seq: seq, IntervalSec: w.IntervalSec, Period: w.Period}
-				if binMode {
-					if err := enc.WriteTick(tick); err != nil {
-						ferr = err
-						return
-					}
-				} else if _, err := bw.Write(toolio.EncodeWire(tick)); err != nil {
-					ferr = err
-					return
-				}
-				// Flush the tick so the server sees the whole window now: the
-				// response side is waiting for this tick's advice line.
-				if err := bw.Flush(); err != nil {
-					ferr = err
-				}
-				res.Ticks++
-			})
-			if ferr != nil {
-				return ferr
-			}
-			return bw.Flush()
-		}()
+		werr := c.encodeStream(bufio.NewWriterSize(pw, 256<<10), log, repeat, res)
 		pw.CloseWithError(werr)
 		writeErr <- werr
 	}()

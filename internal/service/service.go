@@ -6,16 +6,19 @@
 // out, sampling period tuned online — is fundamentally a stream consumer,
 // and this package runs it as one. Clients stream NDJSON-framed resolved
 // HITM samples (internal/toolio wire schema) over HTTP; each tenant
-// (process/run identity) is hash-routed to one of N detector shards — a
-// worker goroutine that owns its sessions' detect.Detector state outright,
-// so the hot ingest path takes no locks and shards never contend with each
-// other. Per tick the service streams back repair advice (page →
+// (process/run identity) is hash-routed to one of N detector shards. A
+// shard is a turn, not a worker: the stream handler decodes a frame, takes
+// its shard's turn, feeds the tenant's detect.Detector or closes its
+// window, releases the turn and only then writes the advice line, so a
+// session is touched by one goroutine at a time and shards never contend
+// with each other. Per tick the service streams back repair advice (page →
 // isolate/twin decisions, the offline detect.Request) plus the adaptive
 // sampling-period feedback value of the paper's PEBS period controller.
 //
-// Production shape: per-shard ingest queues are bounded with explicit
-// drop/backpressure accounting (saturated shards reject new streams with
-// 429 + Retry-After), idle tenant sessions are TTL-evicted to release their
+// Production shape: the operations holding or waiting for a shard's turn
+// are bounded with explicit drop/backpressure accounting (saturated shards
+// reject new streams with 429 + Retry-After, and a wait past EnqueueWait
+// drops the batch), idle tenant sessions are TTL-evicted to release their
 // window state, SIGTERM drains the shards before exit, and /healthz
 // plus a Prometheus-text /metrics endpoint expose queue depths, ingest
 // rates, classification counts, advice latency and drop totals.
@@ -43,17 +46,18 @@ import (
 // Config tunes a Server. The zero value is usable: every field has a
 // production default.
 type Config struct {
-	// Shards is the number of detector worker goroutines (default 4).
-	// Tenants are FNV-hashed onto shards; each shard owns its sessions
-	// exclusively, so shards scale ingest without any cross-shard locking.
+	// Shards is the number of detector shards (default 4). Tenants are
+	// FNV-hashed onto shards; a shard's sessions are read and written only
+	// by whoever holds its turn, so shards scale ingest without any
+	// cross-shard locking.
 	Shards int
-	// QueueDepth bounds each shard's pending-job queue (default 256). A
-	// full queue rejects new streams (429 + Retry-After) and backpressures
-	// established ones instead of growing memory without bound.
+	// QueueDepth bounds the operations holding or waiting for each shard's
+	// turn (default 256). A shard at the bound rejects new streams (429 +
+	// Retry-After), so established ones keep their backpressure budget.
 	QueueDepth int
-	// EnqueueWait is how long an established stream blocks on a full shard
-	// queue before the batch is dropped and the stream aborted with a
-	// retryable wire error (default 5s).
+	// EnqueueWait is how long an established stream waits for its shard's
+	// turn before the batch or tick is dropped and the stream aborted with
+	// a retryable wire error (default 5s).
 	EnqueueWait time.Duration
 	// MaxFrameBytes bounds one wire unit from a client — an NDJSON line or
 	// a binary frame payload (default toolio.MaxWireLine). It caps the
@@ -125,23 +129,22 @@ type Server struct {
 	shards   []*shard
 	metrics  *Metrics
 	draining atomic.Bool
-	wg       sync.WaitGroup
 
-	// gate serializes enqueues against shard-queue closure: Drain takes the
-	// write side once, so no handler can ever send on a closed queue.
-	gate   sync.RWMutex
-	closed bool
+	// gate orders onShard calls against Drain: Drain sets closed under the
+	// write side, so every call either registered in inflight first or
+	// runs nothing. quit closes with it, ending every wait for a turn.
+	gate     sync.RWMutex
+	closed   bool
+	quit     chan struct{}
+	inflight sync.WaitGroup
 }
 
-// New builds a server and starts its shard workers.
+// New builds a server and its shards.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, metrics: newMetrics(cfg.now)}
+	s := &Server{cfg: cfg, metrics: newMetrics(cfg.now), quit: make(chan struct{})}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(i, s)
-		s.shards = append(s.shards, sh)
-		s.wg.Add(1)
-		go sh.loop()
+		s.shards = append(s.shards, newShard(i, s))
 	}
 	return s
 }
@@ -161,28 +164,24 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // BeginDrain flips the server into draining mode: /healthz answers 503 and
-// new streams are refused, while established streams and queued work keep
-// flowing. Call it before shutting the HTTP layer down so load balancers
+// new streams are refused, while established streams keep flowing. Call it before shutting the HTTP layer down so load balancers
 // and retry loops move on immediately.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Drain stops admitting new streams, closes the shard queues and waits for
-// every queued job to finish. Streams still connected see their enqueues
-// refused (a retryable wire error), never a send on a closed queue. Safe to
-// call multiple times.
+// Drain stops admitting new streams and shard operations, ends every wait
+// for a turn and waits for the turns' holders to finish. Streams still
+// connected see their next batch or tick refused (a retryable wire error),
+// including a tick that was waiting for its turn. Safe to call multiple
+// times.
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.gate.Lock()
 	if !s.closed {
 		s.closed = true
-		for _, sh := range s.shards {
-			// A closed queue still hands its buffered jobs to the shard
-			// loop, so ticks already admitted get their advice replies.
-			close(sh.jobs)
-		}
+		close(s.quit)
 	}
 	s.gate.Unlock()
-	s.wg.Wait()
+	s.inflight.Wait()
 }
 
 // Handler returns the service's HTTP surface: POST /v1/stream, GET
@@ -201,8 +200,8 @@ func (s *Server) Handler() http.Handler {
 
 // session is one tenant's detection state: a detector with no History, so
 // it holds one window's line table and nothing older, plus the bookkeeping
-// the adaptive-period feedback and TTL eviction need. A session is owned by
-// exactly one shard goroutine.
+// the adaptive-period feedback and TTL eviction need. A session is read and
+// written only under its shard's turn.
 type session struct {
 	tenant   string
 	pageSize int

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +56,37 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
+}
+
+// stallShard takes the tenant's shard turn on a goroutine of its own and
+// holds it until the returned release is called (once is enough; more are
+// no-ops). It returns once the turn is held.
+func stallShard(t *testing.T, srv *Server, tenant string) (release func()) {
+	t.Helper()
+	held, stall := make(chan struct{}), make(chan struct{})
+	go srv.onShard(tenant, func(*shard, time.Time) {
+		close(held)
+		<-stall
+	})
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stall never took the shard's turn")
+	}
+	var once sync.Once
+	return func() { once.Do(func() { close(stall) }) }
+}
+
+// awaitDepth waits until n operations hold or wait for sh's turn.
+func awaitDepth(t *testing.T, sh *shard, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for sh.depth() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard depth %d after 5s, want %d", sh.depth(), n)
+		}
+		runtime.Gosched()
+	}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -227,15 +259,10 @@ func TestSaturatedShardRejectsWith429(t *testing.T) {
 	log := syntheticLog()
 	srv, hs := newTestServer(t, Config{Shards: 1, QueueDepth: 1, EnqueueWait: 10 * time.Millisecond})
 
-	// Wedge the single shard: one stall job being processed, one more
-	// filling the bounded queue to capacity.
-	sh := srv.shards[0]
-	stall := make(chan struct{})
-	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
-	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
-	for len(sh.jobs) < 1 {
-		time.Sleep(time.Millisecond)
-	}
+	// Wedge the single shard: a stall holding its turn fills the bound of
+	// one operation holding or waiting.
+	release := stallShard(t, srv, "stall")
+	defer release()
 
 	cl := &Client{BaseURL: hs.URL, Tenant: "busy-1", PageSize: log.PageSize}
 	_, err := cl.Replay(log, 1)
@@ -251,7 +278,7 @@ func TestSaturatedShardRejectsWith429(t *testing.T) {
 	}
 
 	// Releasing the shard restores service.
-	close(stall)
+	release()
 	if _, err := cl.Replay(log, 1); err != nil {
 		t.Errorf("stream after release: %v", err)
 	}
@@ -261,8 +288,8 @@ func TestMidStreamOverloadDropsBatchWithRetryableError(t *testing.T) {
 	srv, hs := newTestServer(t, Config{Shards: 1, QueueDepth: 1, EnqueueWait: 5 * time.Millisecond})
 
 	// Drive the raw protocol so the wedge lands between admission and the
-	// first batch: connect and get admitted while the queue is empty, then
-	// saturate the shard, then send a batch.
+	// first batch: connect and get admitted while the turn is free, then
+	// hold it, then send a batch.
 	pr, pw := io.Pipe()
 	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/stream", pr)
 	if err != nil {
@@ -295,13 +322,8 @@ func TestMidStreamOverloadDropsBatchWithRetryableError(t *testing.T) {
 		t.Fatalf("admission status %d, want 200", resp.StatusCode)
 	}
 
-	// Wedge: capacity is 1, so the second send can only complete once the
-	// loop dequeued the first and is blocked on it — queue provably full.
-	stall := make(chan struct{})
-	defer close(stall)
-	sh := srv.shards[0]
-	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
-	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
+	// Wedge: the stall holds the turn, so the batch waits out EnqueueWait.
+	defer stallShard(t, srv, "stall")()
 
 	batch := toolio.WireSamples{K: toolio.WireSamplesKind, S: [][4]uint64{{0, 0x10000, 8, 1}, {1, 0x10008, 8, 0}}}
 	if _, err := pw.Write(toolio.EncodeWire(batch)); err != nil {
@@ -337,9 +359,9 @@ type sessionInfo struct {
 	Records uint64
 }
 
-// inspect snapshots a tenant's session on its owning shard, so it never
-// races ingest. A shard that does not run the job (saturated past
-// EnqueueWait, or a drained server) reports the zero sessionInfo.
+// inspect snapshots a tenant's session under its shard's turn, so it never
+// races ingest. A turn not had (held past EnqueueWait, or a drained
+// server) reports the zero sessionInfo.
 func inspect(srv *Server, tenant string) (info sessionInfo) {
 	srv.onShard(tenant, func(sh *shard, _ time.Time) {
 		if s := sh.sessions[tenant]; s != nil {
@@ -503,10 +525,11 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 
 	srv.Drain()
-	// After the queues close, enqueue refuses instead of panicking, and
+	// After the drain, a shard operation is refused without running, and
 	// inspect reports nothing.
-	if ok := srv.enqueue(srv.shards[0], job{tenant: "x"}); ok {
-		t.Error("enqueue succeeded on a drained server")
+	ran := false
+	if ok := srv.onShard("x", func(*shard, time.Time) { ran = true }); ok || ran {
+		t.Errorf("shard operation on a drained server: ok=%v ran=%v", ok, ran)
 	}
 	if info := inspect(srv, "late-1"); info.Exists {
 		t.Errorf("drained server reported a session: %+v", info)

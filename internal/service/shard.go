@@ -1,58 +1,24 @@
 package service
 
 import (
+	"sync/atomic"
 	"time"
-
-	"repro/internal/detect"
-	"repro/internal/toolio"
 )
 
-// job is one unit of shard work: a batch of samples for the tenant's open
-// window, a tick that closes it, or a control closure (run) that needs the
-// shard's exclusive ownership of its sessions. The zero fields are ignored.
-type job struct {
-	tenant   string
-	pageSize int
-	// samples is a batch of resolved records to ingest. The buffer is
-	// owned by the job: once the shard has fed it to the session it sends
-	// the emptied buffer back on recycle (when set), which is what keeps
-	// the binary ingest path allocation-free at steady state.
-	samples []detect.Sample
-	recycle chan []detect.Sample
-	// tick closes the current window; the advice reply lands on reply
-	// (buffered 1, never blocks the shard).
-	tick  *toolio.WireTick
-	reply chan toolio.WireAdvice
-	// run executes on the shard goroutine (see Server.onShard); done, when
-	// set, is closed once it returns.
-	run  func(sh *shard, now time.Time)
-	done chan struct{}
-	// enqueued timestamps admission for the advice-latency histogram, which
-	// therefore measures queue wait.
-	enqueued time.Time
-}
-
-// release returns a consumed sample buffer to its stream's free list. The
-// send never blocks: a full free list (or a reader that already hung up)
-// just lets the buffer fall to the garbage collector.
-func (j *job) release() {
-	if j.recycle == nil {
-		return
-	}
-	select {
-	case j.recycle <- j.samples[:0]:
-	default:
-	}
-}
-
-// shard is one detector worker: a bounded job queue consumed by a single
-// goroutine that exclusively owns every session hashed onto it.
+// shard is one slice of the tenant space: the sessions hashed onto it and
+// the turn that serializes every read and write of them. Whoever holds the
+// turn (a stream handler feeding or advising, or a control operation such
+// as an export) owns the sessions outright until it releases the turn, so
+// a session is never touched by two goroutines at once and shards never
+// contend with each other.
 type shard struct {
 	id  int
 	srv *Server
-	// jobs is the bounded ingest queue; len(jobs) is the queue depth the
-	// admission check and /metrics report.
-	jobs     chan job
+	// turn holds one token while an operation runs on the sessions.
+	turn chan struct{}
+	// queued counts the operations holding or waiting for the turn: the
+	// queue depth the admission check and /metrics report.
+	queued   atomic.Int64
 	sessions map[string]*session
 	lastScan time.Time
 }
@@ -61,60 +27,19 @@ func newShard(id int, srv *Server) *shard {
 	return &shard{
 		id:       id,
 		srv:      srv,
-		jobs:     make(chan job, srv.cfg.QueueDepth),
+		turn:     make(chan struct{}, 1),
 		sessions: make(map[string]*session),
 	}
 }
 
-// depth reports the pending-job count (queue gauge).
-func (sh *shard) depth() int { return len(sh.jobs) }
+// depth reports the operations holding or waiting for the turn (queue
+// gauge).
+func (sh *shard) depth() int { return int(sh.queued.Load()) }
 
-// saturated reports whether the queue has no admission headroom left: new
+// saturated reports whether the shard has no admission headroom left: new
 // streams are rejected at this point so established ones keep their
 // backpressure budget.
-func (sh *shard) saturated() bool { return len(sh.jobs) >= cap(sh.jobs) }
-
-// loop is the shard worker: it drains the job queue until the server
-// closes it, then exits (graceful drain processes everything queued).
-func (sh *shard) loop() {
-	defer sh.srv.wg.Done()
-	m := sh.srv.metrics
-	for j := range sh.jobs {
-		now := sh.srv.cfg.now()
-		sh.maybeEvict(now)
-		switch {
-		case j.run != nil:
-			j.run(sh, now)
-			if j.done != nil {
-				close(j.done)
-			}
-		case j.samples != nil:
-			s, err := sh.session(j.tenant, j.pageSize, now)
-			if err != nil {
-				m.invalidBatches.Add(1)
-				j.release()
-				continue
-			}
-			s.lastSeen = now
-			s.feed(j.samples)
-			m.records.Add(uint64(len(j.samples)))
-			j.release()
-		case j.tick != nil:
-			s, err := sh.session(j.tenant, j.pageSize, now)
-			if err != nil {
-				m.invalidBatches.Add(1)
-				continue
-			}
-			s.lastSeen = now
-			start := sh.srv.cfg.now()
-			adv := s.advise(*j.tick, detect.DefaultPeriodController(), sh.srv.cfg.RecommendBackend)
-			analyzed := sh.srv.cfg.now().Sub(start)
-			m.ticks.Add(1)
-			m.observeAdvice(adv, now.Sub(j.enqueued), analyzed)
-			j.reply <- adv
-		}
-	}
-}
+func (sh *shard) saturated() bool { return sh.depth() >= sh.srv.cfg.QueueDepth }
 
 // session returns the tenant's session, creating it on first sight — which
 // is also what a record arriving after TTL eviction gets: a fresh session
@@ -153,19 +78,46 @@ func (sh *shard) maybeEvict(now time.Time) {
 	}
 }
 
-// onShard runs fn on the tenant's shard goroutine and waits for it to
-// return: fn sees every ingested batch applied and none half-applied, and
-// may read or replace the shard's sessions. It takes the same bounded-wait
-// enqueue as ingest, so against a saturated or stalled shard it gives up
-// after EnqueueWait instead of blocking forever on the full queue (which,
-// performed under the gate's read lock as it once was, deadlocked against
-// a concurrent drain's write lock). false means fn did not run: the shard
-// stayed saturated or the server is draining.
+// onShard runs fn holding the tenant's shard turn: fn sees every ingested
+// batch applied and none half-applied, and may read or replace the shard's
+// sessions. A free turn is taken at once; a held one is waited for up to
+// EnqueueWait, and a drain ends every wait at once. false means fn did not
+// run: the turn stayed held past the wait or the server is draining. fn
+// must not block on the network. The uncontended path allocates nothing: a
+// timer is made only when the turn is held.
 func (s *Server) onShard(tenant string, fn func(sh *shard, now time.Time)) bool {
-	done := make(chan struct{})
-	if !s.enqueue(s.shardFor(tenant), job{tenant: tenant, run: fn, done: done}) {
+	// The gate orders this call against Drain: either it is counted in
+	// inflight before Drain closes the server, and Drain waits for it, or
+	// it sees closed and runs nothing.
+	s.gate.RLock()
+	if s.closed {
+		s.gate.RUnlock()
 		return false
 	}
-	<-done
+	s.inflight.Add(1)
+	s.gate.RUnlock()
+	defer s.inflight.Done()
+
+	sh := s.shardFor(tenant)
+	sh.queued.Add(1)
+	defer sh.queued.Add(-1)
+	select {
+	case sh.turn <- struct{}{}:
+	default:
+		wait := time.NewTimer(s.cfg.EnqueueWait)
+		select {
+		case sh.turn <- struct{}{}:
+			wait.Stop()
+		case <-wait.C:
+			return false
+		case <-s.quit:
+			wait.Stop()
+			return false
+		}
+	}
+	now := s.cfg.now()
+	sh.maybeEvict(now)
+	fn(sh, now)
+	<-sh.turn
 	return true
 }

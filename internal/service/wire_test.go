@@ -217,21 +217,16 @@ func TestHostileTickIntervalAnswersWireError(t *testing.T) {
 }
 
 // TestInspectSaturatedShardReturnsZero pins the onShard deadlock fix, the
-// path export, install and remove take too: a full queue on a stalled
-// shard plus a concurrent Drain used to deadlock (the shard job's send
-// blocked on the queue while holding the gate's read lock, Drain blocked
-// on the write lock). onShard must now give up after the bounded enqueue
-// wait without running the job, so inspect reports the zero sessionInfo.
+// path export, install and remove take too: a stalled shard plus a
+// concurrent Drain once deadlocked (the waiting operation held the gate's
+// read lock, Drain blocked on the write lock). onShard must give up
+// without running its function, after the bounded wait or as soon as the
+// drain begins, so inspect reports the zero sessionInfo; the drain then
+// waits for the turn's holder.
 func TestInspectSaturatedShardReturnsZero(t *testing.T) {
 	srv := New(Config{Shards: 1, QueueDepth: 1, EnqueueWait: 30 * time.Millisecond})
-
-	stall := make(chan struct{})
-	sh := srv.shards[0]
-	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
-	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
-	for len(sh.jobs) < 1 {
-		time.Sleep(time.Millisecond)
-	}
+	release := stallShard(t, srv, "stall")
+	defer release()
 
 	inspected := make(chan sessionInfo, 1)
 	go func() { inspected <- inspect(srv, "wedged-tenant") }()
@@ -251,7 +246,7 @@ func TestInspectSaturatedShardReturnsZero(t *testing.T) {
 		t.Fatal("inspect deadlocked against the saturated shard + concurrent drain")
 	}
 
-	close(stall)
+	release()
 	select {
 	case <-drained:
 	case <-time.After(5 * time.Second):
@@ -259,31 +254,39 @@ func TestInspectSaturatedShardReturnsZero(t *testing.T) {
 	}
 }
 
-// TestDrainClosesPromptlyUnderSaturatedEnqueues pins the enqueue gate fix:
-// backpressured enqueues must not hold the gate's read lock across the
-// EnqueueWait timer, so a concurrent drain flips the server closed in
-// milliseconds — not after the full wait — and the waiting enqueues fail
-// fast instead of wedging every other reader behind the pending writer.
+// TestDrainClosesPromptlyUnderSaturatedEnqueues pins the drain bound:
+// batches and ticks waiting for a held turn must not keep a concurrent
+// drain waiting out EnqueueWait. Drain closes the server at once, every
+// waiter gives up with the retryable wire error (a tick waiting when the
+// drain begins gets no advice), and the drain then finishes as soon as
+// the turn's holder does.
 func TestDrainClosesPromptlyUnderSaturatedEnqueues(t *testing.T) {
 	const wait = 2 * time.Second
 	srv := New(Config{Shards: 1, QueueDepth: 1, EnqueueWait: wait})
+	release := stallShard(t, srv, "stall")
+	defer release()
 
-	stall := make(chan struct{})
-	sh := srv.shards[0]
-	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
-	sh.jobs <- job{run: func(*shard, time.Time) { <-stall }}
-	for len(sh.jobs) < 1 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Saturated enqueues sitting in the backpressure wait.
-	results := make(chan bool, 4)
+	// Two batches and two ticks waiting for the turn.
+	var cols toolio.SampleColumns
+	cols.Append(0, 0x10000, 8, false)
+	results := make(chan toolio.WireError, 4)
 	for i := 0; i < 4; i++ {
+		st := &stream{tenant: "slow", pageSize: 4096}
 		go func() {
-			results <- srv.enqueue(sh, job{tenant: "slow", pageSize: 4096, samples: []detect.Sample{{Addr: 0x10000, Width: 8}}})
+			var werr toolio.WireError
+			var ok bool
+			if i%2 == 0 {
+				werr, ok = srv.ingest(st, &cols)
+			} else {
+				_, werr, ok = srv.advise(st, toolio.WireTick{Seq: 0, IntervalSec: 0.001, Period: 100})
+			}
+			if ok {
+				werr = toolio.WireError{}
+			}
+			results <- werr
 		}()
 	}
-	time.Sleep(50 * time.Millisecond)
+	awaitDepth(t, srv.shards[0], 5)
 
 	drained := make(chan struct{})
 	start := time.Now()
@@ -292,33 +295,29 @@ func TestDrainClosesPromptlyUnderSaturatedEnqueues(t *testing.T) {
 		close(drained)
 	}()
 
-	// The observable bound: the closed flag must flip well inside the
-	// enqueue wait (the old code held read locks across the whole timer,
-	// so the drain's write lock — and with it every later reader — queued
-	// for up to the full wait).
-	for {
-		if _, closed := srv.tryEnqueue(sh, job{tenant: "probe"}); closed {
-			break
-		}
-		if time.Since(start) > wait/2 {
-			t.Fatalf("server not closed %v after Drain began (EnqueueWait %v)", time.Since(start), wait)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Every waiting enqueue must give up promptly once closed.
+	// Every waiter must give up well inside the wait, with a retryable
+	// error, once the server is closed.
 	for i := 0; i < 4; i++ {
 		select {
-		case ok := <-results:
-			if ok {
-				t.Error("enqueue succeeded on a draining server")
+		case werr := <-results:
+			if werr.RetryMs <= 0 {
+				t.Errorf("waiter on a draining server answered %+v, want a retryable wire error", werr)
 			}
 		case <-time.After(wait / 2):
 			t.Fatal("saturated enqueue still blocked after the server closed")
 		}
 	}
+	srv.gate.RLock()
+	closed := srv.closed
+	srv.gate.RUnlock()
+	if !closed || time.Since(start) > wait/2 {
+		t.Fatalf("server closed=%v %v after Drain began (EnqueueWait %v)", closed, time.Since(start), wait)
+	}
+	if got := srv.Metrics().droppedBatches.Load(); got != 4 {
+		t.Errorf("droppedBatches = %d, want 4", got)
+	}
 
-	close(stall)
+	release()
 	select {
 	case <-drained:
 	case <-time.After(5 * time.Second):
@@ -394,11 +393,10 @@ func itoa(v uint64) string {
 }
 
 // TestBinaryIngestSteadyStateDoesNotAllocate is the service-side
-// AllocsPerRun gate on the zero-copy ingest path runStream takes for a
-// binary stream: frame decode through the stream's WireReader (reader
-// buffers), column conversion (recycled per-stream buffers) and the
-// shard's recycle-on-consume handoff must all stay off the heap at steady
-// state.
+// AllocsPerRun gate on the ingest path runStream takes for a binary
+// stream: frame decode through the stream's WireReader (reader buffers),
+// column conversion (the stream's reused sample buffer) and the feed
+// under the shard's turn must all stay off the heap at steady state.
 func TestBinaryIngestSteadyStateDoesNotAllocate(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is meaningless under -race")
@@ -416,7 +414,9 @@ func TestBinaryIngestSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	frames := enc.Bytes()
 
-	st := &stream{tenant: "alloc", pageSize: 4096, free: make(chan []detect.Sample, recycleDepth)}
+	srv := New(Config{Shards: 1})
+	defer srv.Drain()
+	st := &stream{tenant: "alloc", pageSize: 4096}
 	r := bytes.NewReader(frames)
 	br := bufio.NewReaderSize(r, 256<<10)
 	rd := toolio.NewWireReader(br, toolio.WireFormatBinary, 0)
@@ -431,14 +431,17 @@ func TestBinaryIngestSteadyStateDoesNotAllocate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			samples := st.convert(fr.Samples)
-			// The shard's half of the handoff: consume and recycle.
-			j := job{samples: samples, recycle: st.free}
-			j.release()
+			if werr, ok := srv.ingest(st, fr.Samples); !ok {
+				t.Fatal(werr.Error)
+			}
 		}
 	}
-	ingest() // warm the reader buffers and the free list
+	ingest() // warm the reader buffers, the sample buffer and the session
 	if allocs := testing.AllocsPerRun(100, ingest); allocs > 0 {
 		t.Errorf("steady-state binary ingest allocates %.1f times per stream, want 0", allocs)
+	}
+	// One warm-up here, AllocsPerRun's own warm-up, then its 100 runs.
+	if got, want := srv.Metrics().records.Load(), uint64((1+1+100)*8*1024); got != want {
+		t.Errorf("ingested %d records, want %d", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -202,6 +203,78 @@ func FuzzWireReader(f *testing.F) {
 			}
 			checkFrame(t, fr)
 		}
+	})
+}
+
+// FuzzWireEncodingsAgree is the differential check between the two sample
+// encodings. The input is read as a batch of bytesPerSample-byte records
+// (tid uint32, addr uint64, width uint16, write uint8, little-endian): any
+// value the binary columns can carry, out-of-range tid, width and write
+// flag included. The batch is encoded as one NDJSON line and as one binary
+// frame, and WireReader.Next must return identical columns for both, or
+// reject both.
+func FuzzWireEncodingsAgree(f *testing.F) {
+	record := func(tid uint32, addr uint64, width uint16, write uint8) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, tid)
+		b = binary.LittleEndian.AppendUint64(b, addr)
+		b = binary.LittleEndian.AppendUint16(b, width)
+		return append(b, write)
+	}
+	valid := append(record(0, 0x10000, 8, 1), record(MaxWireTID, math.MaxUint64, MaxWireWidth, 0)...)
+	f.Add([]byte{})
+	f.Add(valid)
+	for _, bad := range [][]byte{
+		record(MaxWireTID+1, 0x10000, 8, 0),
+		record(math.MaxUint32, 0x10000, 8, 0),
+		record(0, 0x10000, 0, 0),
+		record(0, 0x10000, MaxWireWidth+1, 0),
+		record(0, 0x10000, math.MaxUint16, 1),
+		record(0, 0x10000, 8, 2),
+		record(0, 0x10000, 8, math.MaxUint8),
+	} {
+		f.Add(append(append([]byte(nil), valid...), bad...))
+	}
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		n := len(in) / bytesPerSample
+		var cols SampleColumns
+		cols.Grow(n)
+		quads := make([][4]uint64, n)
+		for i := range quads {
+			r := in[i*bytesPerSample:]
+			cols.TID[i] = binary.LittleEndian.Uint32(r)
+			cols.Addr[i] = binary.LittleEndian.Uint64(r[4:])
+			cols.Width[i] = binary.LittleEndian.Uint16(r[12:])
+			cols.Write[i] = r[14]
+			quads[i] = [4]uint64{uint64(cols.TID[i]), cols.Addr[i], uint64(cols.Width[i]), uint64(cols.Write[i])}
+		}
+		var frame bytes.Buffer
+		if err := NewBinWriter(&frame).WriteSamples(&cols); err != nil {
+			t.Skip("batch over the cap the writer refuses:", err)
+		}
+		next := func(wire string, body []byte) (*SampleColumns, error) {
+			fr, err := NewWireReader(bufio.NewReader(bytes.NewReader(body)), wire, 0).Next()
+			if err != nil {
+				return nil, err
+			}
+			if fr.Kind != WireSamplesKind[0] {
+				t.Fatalf("%s: a samples message decoded as kind %q", wire, fr.Kind)
+			}
+			return fr.Samples, nil
+		}
+		nd, ndErr := next(WireFormatNDJSON, EncodeWire(WireSamples{K: WireSamplesKind, S: quads}))
+		bin, binErr := next(WireFormatBinary, frame.Bytes())
+		switch {
+		case (ndErr == nil) != (binErr == nil):
+			t.Fatalf("encodings disagree on %v: ndjson error %v, binary error %v", quads, ndErr, binErr)
+		case ndErr != nil:
+			return
+		}
+		if !slices.Equal(nd.TID, bin.TID) || !slices.Equal(nd.Addr, bin.Addr) ||
+			!slices.Equal(nd.Width, bin.Width) || !slices.Equal(nd.Write, bin.Write) {
+			t.Fatalf("encodings decoded %v differently:\nndjson %+v\nbinary %+v", quads, nd, bin)
+		}
+		checkColumns(t, bin)
 	})
 }
 

@@ -264,7 +264,7 @@ func (bw *BinWriter) WriteTick(t WireTick) error {
 // BinFrame is one decoded binary frame. Samples points at the reader's
 // reused columns and is valid only until the next ReadFrame call; callers
 // that hand the batch elsewhere must copy it out first (the tmid ingest
-// path copies straight into its recycled per-stream sample buffers).
+// path copies straight into its reused per-stream sample buffer).
 type BinFrame struct {
 	// Kind is WireSamplesKind[0] or WireTickKind[0].
 	Kind byte
