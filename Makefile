@@ -22,10 +22,10 @@
 # with one node killed and one added mid-run under a 16-client fleet:
 # zero lost sessions, advice byte-identical to the offline replay) and
 # fuzz (short runs of the migration-stream, sample-decoder, stream-framer,
-# encoding-differential, hello-reader and router-reload fuzzers: hostile
-# input must be an error, never a panic, a corrupt restored session, an
-# out-of-range sample, a batch the two encodings decode differently or a
-# ring member that is not a node URL) and perfbench (vet and
+# encoding-differential, hello-reader, router-reload and tmivet-source
+# fuzzers: hostile input must be an error, never a panic, a corrupt
+# restored session, an out-of-range sample, a batch the two encodings
+# decode differently or a ring member that is not a node URL) and perfbench (vet and
 # unit tests of the benchmark module, which `go build ./...` at the root
 # never compiles because it is a module of its own).
 # `make bench` persists one BENCH_<date>[.N].json
@@ -178,13 +178,15 @@ allocgate:
 # columns through WireReader or be rejected by both. Then it fuzzes the
 # hello reader all three stream readers open with (ReadHello): an accepted
 # hello must pass CheckHello with a power-of-two page size in range, and
-# its raw bytes must be one '\n'-terminated line. Last it fuzzes the
+# its raw bytes must be one '\n'-terminated line. Then it fuzzes the
 # router's /admin/reload body (FuzzRouterReload): a rejected list must
 # change nothing, and after an accepted one every ring member must be an
-# absolute http(s) URL with a host. The seeds include ~1 MiB inputs of
+# absolute http(s) URL with a host. Last it fuzzes tmivet's source boundary
+# (FuzzAnalyzeSource): any bytes as one Go file must fail to load or be
+# analyzed statically, never panic. The seeds include ~1 MiB inputs of
 # MaxWireBatch samples; capping minimization keeps the time budget on
 # fuzzing rather than on shrinking one large input. go test fuzzes one
-# target per run, hence seven runs.
+# target per run, hence eight runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadMigrationStream -fuzztime 10s -fuzzminimizetime 10x ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireMsg -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
@@ -193,6 +195,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireEncodingsAgree -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzReadHello -fuzztime 10s -fuzzminimizetime 10x ./internal/toolio
 	$(GO) test -run '^$$' -fuzz FuzzRouterReload -fuzztime 10s -fuzzminimizetime 10x ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzAnalyzeSource -fuzztime 10s -fuzzminimizetime 10x ./internal/srcvet
 
 # perfbench vets and unit-tests the benchmark module. It is a Go module of
 # its own (replace repro => ../), so the root `go build ./...` and

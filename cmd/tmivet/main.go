@@ -5,8 +5,9 @@
 // sync.Mutex critical sections, and flags lines where two or more inferred
 // writers touch disjoint bytes — then (by default) lowers each finding to
 // a synthetic workload and confirms it through the simulator's dynamic
-// detector. Repairs are `_ [N]byte` padding insertions; -fix previews
-// them as a unified diff.
+// detector. Repairs are `_ [N]byte` padding insertions, or advice where no
+// edit can be planned (a scalar element, an unnamed struct, an interleaved
+// field order); -fix previews the paddings as a unified diff.
 //
 // Usage:
 //

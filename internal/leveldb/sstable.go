@@ -82,9 +82,6 @@ func readEntry(b []byte, off int) (Entry, int, error) {
 // Len reports the number of entries (including tombstones).
 func (t *SSTable) Len() int { return t.count }
 
-// SizeBytes reports the serialized size.
-func (t *SSTable) SizeBytes() int { return len(t.data) }
-
 // Get finds key in the table. found reports presence (possibly a tombstone,
 // signalled by deleted).
 func (t *SSTable) Get(key []byte) (value []byte, deleted, found bool) {

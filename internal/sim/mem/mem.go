@@ -143,14 +143,6 @@ func (f *File) Page(i int) *Page {
 	return p
 }
 
-// Materialized reports whether page i has been touched.
-func (f *File) Materialized(i int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.pages[i]
-	return ok
-}
-
 // PageSize reports the page size of the file's backing memory.
 func (f *File) PageSize() int { return f.mem.pageSize }
 

@@ -59,16 +59,6 @@ func (o *OS) Fork(p *Process) *Process {
 // Process looks up a process by ID.
 func (o *OS) Process(id int) *Process { return o.procs[id] }
 
-// Processes returns all live processes in ID order.
-func (o *OS) Processes() []*Process {
-	out := make([]*Process, 0, len(o.procs))
-	for _, p := range o.procs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // ShmOpen creates a named shared-memory object (shm_open analog).
 func (o *OS) ShmOpen(name string) *mem.File { return o.Mem.NewFile(name) }
 

@@ -1,9 +1,9 @@
 package srcvet
 
-// The repair planner: computed `_ [N]byte` padding insertions and advisory
-// field reorderings that give each inferred writer a private cache line,
-// plus the -fix preview that applies the paddings to the AST and renders a
-// unified diff.
+// The repair planner: computed `_ [N]byte` padding insertions, and
+// advisories where no edit can be planned, that give each inferred writer a
+// private cache line, plus the -fix preview that applies the paddings to the
+// AST and renders a unified diff.
 
 import (
 	"bytes"
@@ -22,8 +22,9 @@ import (
 // Repair is one proposed source edit.
 type Repair struct {
 	// Kind is "pad" (insert `_ [Bytes]byte` after field After of Struct),
-	// "pad-elem" (trailing pad inside element struct Struct), or
-	// "reorder" (advisory; Detail carries the suggestion).
+	// "pad-elem" (trailing pad inside element struct Struct), or "advice"
+	// (no edit is planned; Detail says what to change by hand).
+	// Every pad has Bytes > 0.
 	Kind   string
 	Struct string
 	After  string
@@ -35,7 +36,7 @@ func (r Repair) String() string {
 	switch r.Kind {
 	case "pad", "pad-elem":
 		return fmt.Sprintf("insert `_ [%d]byte` after %s.%s%s", r.Bytes, r.Struct, r.After, suffixDetail(r.Detail))
-	default:
+	default: // "advice"
 		return fmt.Sprintf("%s %s: %s", r.Kind, r.Struct, r.Detail)
 	}
 }
@@ -54,7 +55,7 @@ func planRepairs(pkg *Package, rg *region, findings []*Finding) []Repair {
 		if named, ok := rg.typ.(*types.Named); ok {
 			return planStructRepairs(pkg, rg, named)
 		}
-		return []Repair{{Kind: "reorder", Struct: rg.name,
+		return []Repair{{Kind: "advice", Struct: rg.name,
 			Detail: "unnamed struct: pad each writer's fields to 64 bytes manually"}}
 	case *types.Array, *types.Slice:
 		var elem types.Type
@@ -69,7 +70,7 @@ func planRepairs(pkg *Package, rg *region, findings []*Finding) []Repair {
 				return planElemPad(named)
 			}
 		}
-		return []Repair{{Kind: "pad-elem", Struct: rg.name,
+		return []Repair{{Kind: "advice", Struct: rg.name,
 			Detail: fmt.Sprintf("replace the %d-byte element with a struct padded to %d bytes", sizeOf(elem), LineBytes)}}
 	}
 	return nil
@@ -170,7 +171,7 @@ func planStructRepairs(pkg *Package, rg *region, named *types.Named) []Repair {
 			}
 		}
 		repairs = append(repairs, Repair{
-			Kind: "pad-elem", Struct: named.Obj().Name(), After: fields[i].Name(),
+			Kind: "advice", Struct: named.Obj().Name(),
 			Detail: fmt.Sprintf("replace the %d-byte element of %s with a struct padded to %d bytes",
 				sizeOf(elem), fields[i].Name(), LineBytes),
 		})
@@ -205,7 +206,7 @@ func planStructRepairs(pkg *Package, rg *region, named *types.Named) []Repair {
 
 	// Advisory reordering when one group's fields are non-contiguous.
 	if adv := reorderAdvice(fields, fieldGroups); adv != "" {
-		repairs = append(repairs, Repair{Kind: "reorder", Struct: named.Obj().Name(), Detail: adv})
+		repairs = append(repairs, Repair{Kind: "advice", Struct: named.Obj().Name(), Detail: adv})
 	}
 	return repairs
 }
@@ -295,8 +296,7 @@ type FixResult struct {
 }
 
 // ApplyFixes applies every "pad"/"pad-elem" repair of the result to the
-// package ASTs and returns the rewritten files. Advisory repairs are not
-// applied.
+// package ASTs and returns the rewritten files. Advice is not applied.
 func ApplyFixes(pkgs []*Package, res *Result) ([]FixResult, error) {
 	// Collect pads per (package, struct name): After -> bytes. "" means
 	// trailing.

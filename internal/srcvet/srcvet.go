@@ -24,9 +24,10 @@
 // are graded "confirmed"; the rest stay "static-only", exactly like
 // tmilint's recall comparison.
 //
-// The repair planner computes `_ [N]byte` padding insertions (and
-// advisory field reorderings) that isolate each writer onto a private
-// line; -fix renders them as a unified diff.
+// The repair planner computes `_ [N]byte` padding insertions that isolate
+// each writer onto a private line, and an advice line where no edit can be
+// planned (a scalar element, an unnamed struct, an interleaved field
+// order); -fix renders the paddings as a unified diff.
 package srcvet
 
 import (

@@ -154,6 +154,113 @@ func TestApplySuggestedPadding(t *testing.T) {
 	}
 }
 
+// scalarSource is a generated package whose four spawned goroutines each
+// increment their own element of counts, which decl declares as a slice or
+// array of scalars: no element struct exists to pad.
+func scalarSource(decl string) string {
+	return `package scalars
+
+import "sync"
+
+func Run(steps int) int64 {
+	` + decl + `
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < steps; s++ {
+				counts[i]++
+			}
+		}()
+	}
+	wg.Wait()
+	return int64(counts[0])
+}
+`
+}
+
+var scalarDecls = []string{"counts := make([]int64, 4)", "var counts [4]uint32"}
+
+// TestScalarElementAdvice: goroutines writing adjacent scalar elements are
+// one finding whose repair is advice, never a `_ [0]byte` pad, and -fix
+// writes no edit for it.
+func TestScalarElementAdvice(t *testing.T) {
+	for _, decl := range scalarDecls {
+		t.Run(decl, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "scalars.go"), []byte(scalarSource(decl)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := NewLoader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkg, err := l.LoadDir(dir, "scalars")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := Analyze([]*Package{pkg}, Options{})
+			if len(res.Findings) != 1 {
+				t.Fatalf("%d findings, want 1", len(res.Findings))
+			}
+			reps := res.Findings[0].Repairs
+			if len(reps) == 0 {
+				t.Error("finding carries no repair")
+			}
+			for _, r := range reps {
+				if r.Kind != "advice" {
+					t.Errorf("repair %q is %q, want advice", r, r.Kind)
+				}
+			}
+			var sb strings.Builder
+			Render(&sb, res)
+			if strings.Contains(sb.String(), "[0]byte") {
+				t.Errorf("report proposes a zero-byte pad:\n%s", sb.String())
+			}
+			fixes, err := ApplyFixes([]*Package{pkg}, res)
+			if err != nil || len(fixes) != 0 {
+				t.Errorf("ApplyFixes = %d edits, %v; want none", len(fixes), err)
+			}
+		})
+	}
+}
+
+// FuzzAnalyzeSource: any bytes written as one Go file either fail to load
+// or are analyzed (static only, no simulation), never a panic.
+func FuzzAnalyzeSource(f *testing.F) {
+	for _, name := range fixtureNames {
+		paths, err := filepath.Glob(filepath.Join(fixtureRoot, name, "*.go"))
+		if err != nil || len(paths) == 0 {
+			f.Fatalf("%s: no fixture source (%v)", name, err)
+		}
+		for _, p := range paths {
+			src, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(src)
+		}
+	}
+	f.Add([]byte(scalarSource(scalarDecls[0])))
+	// One loader for every input keeps the stdlib importer's cache warm.
+	l, err := NewLoader(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "fuzz.go"), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := l.LoadDir(dir, "fuzz")
+		if err != nil {
+			return
+		}
+		Analyze([]*Package{pkg}, Options{})
+	})
+}
+
 // TestWaivers: a waived finding is suppressed (result OK) but still listed.
 func TestWaivers(t *testing.T) {
 	res := analyzeFixture(t, "packed", Options{})

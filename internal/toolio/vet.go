@@ -23,9 +23,10 @@ const (
 )
 
 // VetRepair is one proposed source edit: a padding insertion ("pad",
-// `_ [Bytes]byte` after field After) or an advisory field reordering
-// ("reorder", Detail lists the new order). Struct names the type or
-// variable the edit applies to.
+// `_ [Bytes]byte` after field After; "pad-elem", the same pad inside an
+// element struct) or, where no edit can be planned, an advisory ("advice",
+// Detail says what to change by hand, such as a field order or a padded
+// element type). Struct names the type or variable the edit applies to.
 type VetRepair struct {
 	Kind   string `json:"kind"`
 	Struct string `json:"struct"`

@@ -64,6 +64,9 @@ func TestTMIApproachesManualFix(t *testing.T) {
 	base := run(t, "histogramfs", tmi.Config{System: tmi.Pthreads})
 	man := run(t, "histogramfs-manual", tmi.Config{System: tmi.Pthreads})
 	prot := run(t, "histogramfs", tmi.Config{System: tmi.TMIProtect})
+	if base.HITMEvents < 4*man.HITMEvents {
+		t.Errorf("the packed layout should contend: %d vs %d HITM padded", base.HITMEvents, man.HITMEvents)
+	}
 	manX := tmi.Speedup(base, man)
 	tmiX := tmi.Speedup(base, prot)
 	if ratio := tmiX / manX; ratio < 0.5 || ratio > 1.1 {
@@ -127,8 +130,10 @@ func TestSheriffBreaksWordTearing(t *testing.T) {
 	if rep.Validated {
 		t.Fatal("Sheriff's PTSB must tear the aligned 2-byte stores")
 	}
-	if !strings.Contains(rep.ValidationErr, "0xABCD") {
-		t.Errorf("expected the Figure 3 merge artifact, got: %s", rep.ValidationErr)
+	// The workload's Validate error reaches the report verbatim.
+	want := "wordtear: x = 0xABCD, not a value any thread stored (AMBSA violated)"
+	if rep.ValidationErr != want {
+		t.Errorf("expected the Figure 3 merge artifact %q, got: %q", want, rep.ValidationErr)
 	}
 	ok := run(t, "wordtear-asm", tmi.Config{System: tmi.TMIProtect})
 	if !ok.Validated {

@@ -86,12 +86,6 @@ func (w *wordTearing) Validate(env workload.Env) error {
 	return fmt.Errorf("wordtear: x = 0x%04X, not a value any thread stored (AMBSA violated)", got)
 }
 
-// Torn reports whether the final value is the Figure 3 merge artifact.
-// Exposed for the experiments that *demonstrate* tearing.
-func (w *wordTearing) Torn(env workload.Env) bool {
-	return env.Load(w.x, 2) == 0xABCD
-}
-
 // definedFor rejects a run of a kernel that defines each of its threads'
 // programs on any other thread count: extra threads would replay some
 // defined thread's program, and a missing thread's partners would wait on
