@@ -59,9 +59,11 @@ race-harness:
 	$(GO) test -race ./internal/harness/... ./internal/service/... ./internal/cluster/... \
 		./internal/sim/machine/... ./internal/psync/... ./internal/core/...
 
-# bench regenerates the full evaluation with the parallel sweep executor
-# and appends a benchmark-trajectory point (wall-clock, cell counts,
-# speedup, simulated metrics per experiment) to BENCH_<date>.json.
+# bench runs the simulator experiments (every table and figure, plus the
+# extensions) with the parallel sweep executor and appends a
+# benchmark-trajectory point (wall-clock, cell counts, speedup, simulated
+# metrics per experiment) to BENCH_<date>.json. tmid and the router are
+# measured by perfbench and tmiload, not here.
 bench:
 	$(GO) run ./cmd/tmibench -experiment all -runs 3 -bench-json auto
 

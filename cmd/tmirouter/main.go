@@ -1,12 +1,14 @@
 // Command tmirouter is the cluster routing tier for tmid: an HTTP proxy
-// that consistent-hashes tenant IDs onto N tmid nodes (bounded-load ring
-// with virtual nodes), probes each node's /healthz for membership, and
-// live-migrates tenant sessions between nodes when the ring changes — a
-// drained or rebalanced tenant's session checkpoint (its record and window
-// counts, taken at a tick boundary) is shipped through the source node's
-// /v1/migrate and restored on the destination before ingest cuts over, so
-// its advice stream stays byte-identical (see internal/cluster and DESIGN
-// §17). Nodes must run with tmid -migratable.
+// that consistent-hashes tenant IDs onto N tmid nodes (a bounded-load ring
+// with cluster.DefaultVNodes virtual nodes per node, no node carrying more
+// than ceil(cluster.DefaultBoundFactor * mean) streams), probes each
+// node's /healthz for membership, and live-migrates tenant sessions
+// between nodes when the ring changes — a drained or rebalanced tenant's
+// session checkpoint (its record and window counts, taken at a tick
+// boundary) is shipped through the source node's /v1/migrate and restored
+// on the destination before ingest cuts over, so its advice stream stays
+// byte-identical (see internal/cluster and DESIGN §17). Nodes must run
+// with tmid -migratable.
 //
 // Usage:
 //
@@ -63,8 +65,6 @@ func main() {
 		addrFile  = flag.String("addr-file", "", "write the bound address to this file once listening (for scripted startup)")
 		nodesCSV  = flag.String("nodes", "", "comma-separated tmid node base URLs")
 		nodesFile = flag.String("nodes-file", "", "file with one node URL per line; SIGHUP re-reads it and applies the new membership live")
-		vnodes    = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per member on the hash ring")
-		bound     = flag.Float64("bound", cluster.DefaultBoundFactor, "bounded-load factor (max node share = ceil(factor*mean))")
 		probe     = flag.Duration("probe", 500*time.Millisecond, "node /healthz probe interval")
 		failAfter = flag.Int("fail-after", 3, "consecutive probe failures before a node leaves the ring")
 	)
@@ -91,8 +91,7 @@ func main() {
 		os.Exit(2)
 	}
 	rt, err := cluster.New(cluster.Config{
-		Nodes: nodes, VNodes: *vnodes, BoundFactor: *bound,
-		ProbeInterval: *probe, FailAfter: *failAfter,
+		Nodes: nodes, ProbeInterval: *probe, FailAfter: *failAfter,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tmirouter: node", err)
@@ -112,7 +111,7 @@ func main() {
 		}
 	}
 	fmt.Printf("tmirouter: listening on %s, %d nodes (vnodes %d, bound %.2f, probe %s)\n",
-		boundAddr, len(nodes), *vnodes, *bound, *probe)
+		boundAddr, len(nodes), cluster.DefaultVNodes, cluster.DefaultBoundFactor, *probe)
 
 	hs := &http.Server{Handler: rt.Handler()}
 	done := make(chan error, 1)

@@ -165,59 +165,68 @@ func (sc *streamConn) close() {
 	sc.resp.Body.Close()
 }
 
-// TestLiveMigrationMidStream is the tentpole's contract end to end: a
-// stream starts on a one-node ring, a node is added and the first drained
-// mid-stream, and the session live-migrates at the next clean boundary —
-// with the full advice stream byte-identical to the offline replay.
+// TestLiveMigrationMidStream is the migration contract end to end: four
+// tenants stream on a one-node ring, a node is added and the first drained
+// while every stream is open, and each session live-migrates at its next
+// clean boundary — with every tenant's full advice stream byte-identical
+// to the offline replay and no migration failed.
 func TestLiveMigrationMidStream(t *testing.T) {
 	log := syntheticLog()
 	want := offlineTruth(t, log, 1)
 	lc := newLocal(t, 1, Config{ProbeInterval: -1})
 
-	const tenant = "live-1"
-	sc := openStream(t, lc.RouterURL, tenant, log.PageSize, "")
-	defer sc.close()
+	tenants := []string{"live-1", "live-2", "live-3", "live-4"}
+	streams := make([]*streamConn, len(tenants))
+	advice := make([]bytes.Buffer, len(tenants))
+	for i, tenant := range tenants {
+		streams[i] = openStream(t, lc.RouterURL, tenant, log.PageSize, "")
+		defer streams[i].close()
+		advice[i].Write(streams[i].sendWindow(t, log, 0))
+	}
 
-	var advice bytes.Buffer
-	advice.Write(sc.sendWindow(t, log, 0))
-
-	// Ring change under the live stream: new node in, original node
-	// drained. The tenant's only possible owner is now the new node.
+	// Ring change under the live streams: new node in, original node
+	// drained. Every tenant's only possible owner is now the new node.
 	added, err := lc.AddNode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	original := lc.Drain(0)
 
-	for i := 1; i < len(log.Windows); i++ {
-		line := sc.sendWindow(t, log, i)
-		if m, err := toolio.DecodeWireMsg(bytes.TrimRight(line, "\n")); err != nil || m.K != toolio.WireAdviceKind {
-			t.Fatalf("window %d: reply not advice: %s", i, line)
+	for i, sc := range streams {
+		for w := 1; w < len(log.Windows); w++ {
+			line := sc.sendWindow(t, log, w)
+			if m, err := toolio.DecodeWireMsg(bytes.TrimRight(line, "\n")); err != nil || m.K != toolio.WireAdviceKind {
+				t.Fatalf("%s window %d: reply not advice: %s", tenants[i], w, line)
+			}
+			advice[i].Write(line)
 		}
-		advice.Write(line)
 	}
-	if !bytes.Equal(advice.Bytes(), want) {
-		t.Errorf("advice across the migration diverged from offline replay:\ngot %d bytes, want %d", advice.Len(), len(want))
+	for i, tenant := range tenants {
+		if !bytes.Equal(advice[i].Bytes(), want) {
+			t.Errorf("%s: advice across the migration diverged from offline replay:\ngot %d bytes, want %d",
+				tenant, advice[i].Len(), len(want))
+		}
+		// The session lives on the new node now, and only there.
+		for url, wantStatus := range map[string]int{added: http.StatusOK, original: http.StatusNotFound} {
+			resp, err := http.Get(url + "/v1/export?tenant=" + tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != wantStatus {
+				t.Errorf("%s: export on %s: status %d, want %d", tenant, url, resp.StatusCode, wantStatus)
+			}
+		}
 	}
 
 	ms := lc.Router.MigrationStats()
-	if ms.OK != 1 || ms.Failed != 0 {
-		t.Errorf("migrations = %+v, want exactly one ok", ms)
+	if ms.OK != uint64(len(tenants)) || ms.Failed != 0 {
+		t.Errorf("migrations = %+v, want %d ok and none failed", ms, len(tenants))
 	}
-	if ms.Records != uint64(log.Windows[0].End) {
-		t.Errorf("migrated %d records, want window 0's %d", ms.Records, log.Windows[0].End)
-	}
-	// The session lives on the new node now, and only there.
-	for url, wantStatus := range map[string]int{added: http.StatusOK, original: http.StatusNotFound} {
-		resp, err := http.Get(url + "/v1/export?tenant=" + tenant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Errorf("export on %s: status %d, want %d", url, resp.StatusCode, wantStatus)
-		}
+	if want := uint64(len(tenants) * log.Windows[0].End); ms.Records != want {
+		t.Errorf("migrated %d records, want %d tenants x window 0's %d = %d",
+			ms.Records, len(tenants), log.Windows[0].End, want)
 	}
 }
 

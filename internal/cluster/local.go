@@ -12,8 +12,8 @@ import (
 // Local is an in-process cluster — N migratable tmid nodes plus a router,
 // each on its own loopback listener so every hop crosses a real HTTP
 // connection. Migratable only serves the migration endpoints: it costs the
-// nodes' sessions no memory. tmiload's chaos mode and the harness's
-// cluster experiment run against one of these: Kill is a hard stop
+// nodes' sessions no memory. tmiload's chaos mode and perfbench's
+// cluster-migrate workload run against one of these: Kill is a hard stop
 // (connections severed, session state marooned in the dead process image —
 // exactly what a crashed node loses), AddNode brings a fresh node up
 // through the router's admin API mid-run.

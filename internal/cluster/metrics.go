@@ -61,15 +61,12 @@ func (m *routerMetrics) migrationDone(result string, records int, d time.Duratio
 	m.mu.Unlock()
 }
 
-// MigrationStats is the harness/tmiload-facing summary of migration
-// activity.
+// MigrationStats is the tmiload- and perfbench-facing summary of
+// migration activity.
 type MigrationStats struct {
 	OK, Noop, Failed uint64
 	Records          uint64
 	P50ms, P99ms     float64
-	// TotalMS is the summed wall time of all observed migrations, so
-	// Records/(TotalMS/1000) is the cluster's rebalance throughput.
-	TotalMS float64
 }
 
 // MigrationStats snapshots migration counters and latency quantiles.
@@ -80,7 +77,7 @@ func (rt *Router) MigrationStats() MigrationStats {
 	m.mu.Unlock()
 	return MigrationStats{
 		OK: m.migrationsOK.Load(), Noop: m.migrationsNoop.Load(), Failed: m.migrationsFailed.Load(),
-		Records: m.migratedRecords.Load(), P50ms: h.Quantile(0.50), P99ms: h.Quantile(0.99), TotalMS: h.Sum(),
+		Records: m.migratedRecords.Load(), P50ms: h.Quantile(0.50), P99ms: h.Quantile(0.99),
 	}
 }
 

@@ -26,15 +26,13 @@ import (
 
 // Ring is a consistent-hash ring with virtual nodes and bounded-load
 // placement ("Consistent Hashing with Bounded Loads", Mirrokni et al.):
-// each node projects VNodes points onto a 64-bit circle, a key's primary
-// owner is the first point clockwise of the key's hash, and a node already
-// at the load bound is skipped for the next distinct node so one hot node
-// cannot absorb an unbounded share of the tenants. The ring itself is
-// immutable; Router swaps whole rings on membership changes and bumps a
-// generation counter that live streams watch.
+// each node projects DefaultVNodes points onto a 64-bit circle, a key's
+// primary owner is the first point clockwise of the key's hash, and a node
+// already at the load bound is skipped for the next distinct node so one
+// hot node cannot absorb an unbounded share of the tenants. The ring
+// itself is immutable; Router swaps whole rings on membership changes and
+// bumps a generation counter that live streams watch.
 type Ring struct {
-	vnodes int
-	factor float64
 	nodes  []string
 	points []ringPoint // sorted by hash
 }
@@ -50,23 +48,17 @@ type ringPoint struct {
 const DefaultVNodes = 64
 
 // DefaultBoundFactor is the bounded-load headroom: a node may carry at
-// most ceil(factor * mean) active streams before placement skips past it.
+// most ceil(DefaultBoundFactor * mean) active streams before placement
+// skips past it.
 const DefaultBoundFactor = 1.25
 
-// NewRing builds a ring over the given nodes. vnodes <= 0 and
-// factor <= 1 take the defaults.
-func NewRing(nodes []string, vnodes int, factor float64) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	if factor <= 1 {
-		factor = DefaultBoundFactor
-	}
-	r := &Ring{vnodes: vnodes, factor: factor, nodes: append([]string(nil), nodes...)}
+// NewRing builds a ring over the given nodes, DefaultVNodes points each.
+func NewRing(nodes []string) *Ring {
+	r := &Ring{nodes: append([]string(nil), nodes...)}
 	sort.Strings(r.nodes)
-	r.points = make([]ringPoint, 0, len(r.nodes)*vnodes)
+	r.points = make([]ringPoint, 0, len(r.nodes)*DefaultVNodes)
 	for ni, node := range r.nodes {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", node, v)), node: ni})
 		}
 	}
@@ -97,7 +89,7 @@ func (r *Ring) Owner(key string, load func(node string) int, total int) (string,
 	if load == nil {
 		return primary, true
 	}
-	bound := int(math.Ceil(r.factor * float64(total+1) / float64(len(r.nodes))))
+	bound := int(math.Ceil(DefaultBoundFactor * float64(total+1) / float64(len(r.nodes))))
 	if bound < 1 {
 		bound = 1
 	}

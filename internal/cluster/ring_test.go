@@ -15,8 +15,8 @@ func ringNodes(n int) []string {
 
 func TestRingDeterministicAndCovers(t *testing.T) {
 	nodes := ringNodes(3)
-	a := NewRing(nodes, 0, 0)
-	b := NewRing([]string{nodes[2], nodes[0], nodes[1]}, 0, 0) // order-independent
+	a := NewRing(nodes)
+	b := NewRing([]string{nodes[2], nodes[0], nodes[1]}) // order-independent
 
 	counts := map[string]int{}
 	for i := 0; i < 3000; i++ {
@@ -37,10 +37,10 @@ func TestRingDeterministicAndCovers(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if _, ok := NewRing(nil, 0, 0).Owner("x", nil, 0); ok {
+	if _, ok := NewRing(nil).Owner("x", nil, 0); ok {
 		t.Error("empty ring claimed an owner")
 	}
-	one := NewRing(ringNodes(1), 0, 0)
+	one := NewRing(ringNodes(1))
 	if own, ok := one.Owner("x", nil, 0); !ok || own != ringNodes(1)[0] {
 		t.Errorf("single-node ring: %q %v", own, ok)
 	}
@@ -50,8 +50,8 @@ func TestRingEmptyAndSingle(t *testing.T) {
 // removing one node moves only that node's keys.
 func TestRingMinimalDisruption(t *testing.T) {
 	nodes := ringNodes(4)
-	full := NewRing(nodes, 0, 0)
-	reduced := NewRing(nodes[:3], 0, 0) // nodes[3] removed
+	full := NewRing(nodes)
+	reduced := NewRing(nodes[:3]) // nodes[3] removed
 
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("tenant-%d", i)
@@ -71,7 +71,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 // is headroom, not admission control).
 func TestRingBoundedLoad(t *testing.T) {
 	nodes := ringNodes(3)
-	r := NewRing(nodes, 0, 1.25)
+	r := NewRing(nodes)
 
 	key := "hot-tenant"
 	primary, _ := r.Owner(key, nil, 0)

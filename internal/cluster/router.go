@@ -19,10 +19,6 @@ type Config struct {
 	// "http://127.0.0.1:7412"). Membership is editable at runtime through
 	// the admin API and the health prober.
 	Nodes []string
-	// VNodes is the virtual-node count per member (default DefaultVNodes).
-	VNodes int
-	// BoundFactor is the bounded-load headroom (default DefaultBoundFactor).
-	BoundFactor float64
 	// ProbeInterval is the /healthz probe cadence (default 500ms; <0
 	// disables probing — tests drive membership by hand).
 	ProbeInterval time.Duration
@@ -46,12 +42,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.BoundFactor <= 1 {
-		c.BoundFactor = DefaultBoundFactor
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
@@ -144,7 +134,7 @@ func (rt *Router) rebuildLocked() {
 			nodes = append(nodes, m.url)
 		}
 	}
-	rt.ring = NewRing(nodes, rt.cfg.VNodes, rt.cfg.BoundFactor)
+	rt.ring = NewRing(nodes)
 	rt.gen.Add(1)
 }
 

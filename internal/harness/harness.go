@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -50,7 +49,7 @@ type Options struct {
 
 // Stat records an invocation-wide named metric (Report.Stats naming
 // convention). Experiments use it for numbers the executor telemetry cannot
-// see — e.g. the ingest experiment's wire-encoding throughputs — and
+// see — e.g. the repair-backends sweep's per-backend win counts — and
 // tmibench folds whatever accumulated into the persisted trajectory's Stats
 // bag via DrainStats.
 func (o *Options) Stat(name string, value float64) {
@@ -188,13 +187,4 @@ func csvLine(f *os.File, fields ...any) {
 
 func header(o *Options, title string) {
 	fmt.Fprintf(o.Out, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

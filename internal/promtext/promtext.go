@@ -49,9 +49,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// Sum reports the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Snapshot copies h so it can be read or rendered outside the owner's lock.
 func (h *Histogram) Snapshot() Histogram {
 	c := *h

@@ -100,28 +100,76 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, hs
 }
 
+// TestStreamParityWithOfflineReplay is the service's parity contract on
+// generated streams: for the synthetic trace and shapesLog at 4 KiB and
+// 2 MiB pages over several seeds, tenants streaming at once against a
+// 2-shard server, in both wire encodings, each get advice byte-identical
+// to the offline Replay. The seed also picks the batch size, so one-record
+// batches, a prime that splits windows unevenly, and the client default
+// all run.
 func TestStreamParityWithOfflineReplay(t *testing.T) {
-	log := syntheticLog()
-	_, hs := newTestServer(t, Config{Shards: 2})
+	srv, hs := newTestServer(t, Config{Shards: 2})
+	type stream struct {
+		name string
+		log  *trace.SampleLog
+		seed int64
+	}
+	streams := []stream{{"synthetic", syntheticLog(), 2}}
+	for _, seed := range []int64{1, 2, 18} {
+		for _, pageSize := range []int{4 << 10, 2 << 20} {
+			streams = append(streams, stream{fmt.Sprintf("shapes-%dK-seed%d", pageSize>>10, seed), shapesLog(pageSize, seed), seed})
+		}
+	}
+	batches := []int{1, 7, DefaultBatchRecords}
+	const repeat, perWire = 2, 2
+	wires := []string{toolio.WireFormatNDJSON, toolio.WireFormatBinary}
 
-	want, err := Replay(log, log.PageSize, detect.Config{}, detect.DefaultPeriodController(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bytes.Split(bytes.TrimSpace(want), []byte("\n"))) != 2*len(log.Windows) {
-		t.Fatalf("offline replay produced wrong advice line count")
-	}
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			log, batch := st.log, batches[st.seed%int64(len(batches))]
+			want, err := Replay(log, log.PageSize, srv.cfg.Detect, detect.DefaultPeriodController(), repeat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := bytes.Count(want, []byte("\n")); n != repeat*len(log.Windows) {
+				t.Fatalf("offline replay produced %d advice lines, want %d", n, repeat*len(log.Windows))
+			}
 
-	cl := &Client{BaseURL: hs.URL, Tenant: "parity-1", PageSize: log.PageSize}
-	res, err := cl.Replay(log, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Advice, want) {
-		t.Errorf("server advice diverged from offline replay:\nserver: %s\noffline: %s", res.Advice, want)
-	}
-	if res.Records != 2*log.Len() || res.Ticks != 2*len(log.Windows) {
-		t.Errorf("sent %d records / %d ticks, want %d / %d", res.Records, res.Ticks, 2*log.Len(), 2*len(log.Windows))
+			results := make([]*ReplayResult, len(wires)*perWire)
+			errs := make([]error, len(results))
+			var wg sync.WaitGroup
+			for i := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					cl := &Client{
+						BaseURL: hs.URL, Tenant: fmt.Sprintf("%s-%d", st.name, i),
+						PageSize: log.PageSize, BatchRecords: batch, Wire: wires[i%len(wires)],
+					}
+					results[i], errs[i] = cl.Replay(log, repeat)
+				}()
+			}
+			wg.Wait()
+
+			for i, res := range results {
+				wire := wires[i%len(wires)]
+				if errs[i] != nil {
+					t.Errorf("%s tenant %d: %v", wire, i, errs[i])
+					continue
+				}
+				if !bytes.Equal(res.Advice, want) {
+					t.Errorf("%s tenant %d (batch %d): advice diverged from offline replay:\nserver: %s\noffline: %s",
+						wire, i, batch, res.Advice, want)
+				}
+				if res.Records != repeat*log.Len() || res.Ticks != repeat*len(log.Windows) {
+					t.Errorf("%s tenant %d: sent %d records / %d ticks, want %d / %d",
+						wire, i, res.Records, res.Ticks, repeat*log.Len(), repeat*len(log.Windows))
+				}
+				if errs[0] == nil && !bytes.Equal(res.Advice, results[0].Advice) {
+					t.Errorf("%s tenant %d: advice diverged from %s tenant 0", wire, i, wires[0])
+				}
+			}
+		})
 	}
 }
 
